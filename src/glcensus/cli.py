@@ -1,8 +1,8 @@
 """Command-line interface: census, series, limit, oracle, clique, verify.
 
-All machine output is JSON (forced globally with --json); census defaults to
-a human table.  The --threads flag is accepted for interface stability but
-execution is sequential, which trivially meets the determinism requirement.
+Every subcommand prints JSON, except that census and verify print a
+human-readable table unless --json is given.  Execution is sequential, so
+every output is deterministic.
 --budget N caps group enumeration at N elements and scan work at 5000*N
 steps (the defaults are 200000 and 10^9).
 """
@@ -266,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="force JSON output")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomised spot checks (default 0)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="accepted for compatibility; execution is sequential")
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="max group elements to enumerate (scan steps scale with it)")
 
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="class counts, b_n and the census polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--table", action="store_true", help="human-readable table (the default)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("series", help="expand the generating functions")
@@ -337,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.json = getattr(args, "json", False)
     args.seed = getattr(args, "seed", 0)
-    args.threads = getattr(args, "threads", 1)
     args.budget = getattr(args, "budget", None)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     return args.func(args)
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from glcensus.census import UnsupportedRegimeError, a_polynomial, omega_closed
 from glcensus.oracle import (
     Budget,
-    BudgetError,
     GLGroup,
-    _budget,
+    check_scan_budget,
     count_cyclic_centralizers,
     gl_group,
 )
@@ -83,13 +82,8 @@ class SeedVerificationError(RuntimeError):
 
 def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     """Exact non-commuting graph of GL_n(q), vertices in degeneracy order."""
-    budget = _budget(budget)
+    check_scan_budget(n, q, f"non-commuting graph of GL_{n}({q})", budget=budget)
     group = gl_group(n, q, budget)
-    if group.order * group.order > budget.steps:
-        raise BudgetError(
-            f"non-commuting graph of GL_{n}({q}) exceeds the scan budget",
-            group.order * group.order, budget.steps,
-        )
     central = set(group.center_indices())
     verts = [i for i in range(group.order) if i not in central]
     pos = {element: k for k, element in enumerate(verts)}
@@ -152,27 +146,13 @@ def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]
 
 
 def _pairwise_noncommuting(group: GLGroup, indices) -> bool:
-    k = len(indices)
-    if k < 2:
-        return True
-    if group.field.e == 1:
-        sel = group.np_mats[list(indices)]
-        chunk = max(1, 2_000_000 // (k * group.n * group.n))
-        for start in range(0, k, chunk):
-            block = sel[start:start + chunk]
-            left = np.matmul(block[:, None], sel[None, :]) % group.q
-            right = np.matmul(sel[None, :], block[:, None]) % group.q
-            commute = (left == right).all(axis=(2, 3))
-            for bi in range(commute.shape[0]):
-                commute[bi, start + bi] = False
-            if commute.any():
-                return False
-        return True
-    mats = [group.mats[i] for i in indices]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mats[i].commutes_with(mats[j]):
-                return False
+    sel = group.lifted[list(indices)]
+    for start, left, right in group.products(sel, sel):
+        commute = (left == right).all(axis=(2, 3))
+        rows = np.arange(len(commute))
+        commute[rows, start + rows] = False
+        if commute.any():
+            return False
     return True
 
 
@@ -318,6 +298,7 @@ def compute_omega(n: int, q: int, budget: Budget | None = None,
     When the seed size equals the covering bound the graph is never built:
     the two counts certify each other.
     """
+    start = time.monotonic()
     seed = seed_clique(n, q, budget)
     try:
         upper = covering_upper_bound(n, q)
@@ -326,7 +307,8 @@ def compute_omega(n: int, q: int, budget: Budget | None = None,
     if upper is not None and len(seed) == upper:
         return (
             CliqueResult(size=len(seed), witness=tuple(sorted(seed)), optimal=True,
-                         upper_bound_used=upper, steps=0, seconds=0.0),
+                         upper_bound_used=upper, steps=0,
+                         seconds=time.monotonic() - start),
             len(seed),
         )
     graph = build_graph(n, q, budget)

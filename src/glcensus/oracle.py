@@ -9,11 +9,19 @@ base-p digit vector of the residue polynomial); the field modulus is the
 lexicographically least monic irreducible of the right degree, so every
 enumeration order is reproducible.
 
-Scans over prime fields are vectorised with numpy, which changes nothing
-about their exhaustive semantics.  Two budgets protect against accidentally
-huge runs: a cap on the group order for enumeration, and a cap on scan steps
-for the quadratic tasks (a full centralizer census of GL_3(4) would take
-3.3e10 pair checks and is refused by default).
+The scans run in numpy on one representation for every q.  Each field
+element a is replaced by the e x e matrix over F_p of multiplication by a on
+the basis 1, t, ..., t^(e-1) (the regular representation, Lidl and
+Niederreiter, Finite Fields, ch. 2), so an n x n matrix over F_q becomes an
+ne x ne integer matrix.  That map is an injective ring homomorphism, so
+products, commuting and equality over F_q are exactly integer matmul mod p
+and array equality; for a prime field it is the identity.  Column 0 of each
+e x e block holds the digits of the entry itself, which is how products are
+read back as F_q entries.  Two budgets, both decided from the closed-form
+group order before anything is enumerated, protect against accidentally huge
+runs: a cap on the group order for enumeration, and a cap on scan steps for
+the quadratic tasks (a full centralizer census of GL_3(4) would take 3.3e10
+pair checks and is refused by default).
 
 On the lower-bound constant used by the proportion checks: the measured
 proportion of cyclic matrices is compared against the exact estimate
@@ -54,10 +62,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-
-def _budget(budget: Budget | None) -> Budget:
-    return budget if budget is not None else DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +274,6 @@ def monic_irreducibles(field: Fq, degree: int) -> list[tuple[int, ...]]:
         if fqpoly_is_irreducible(field, f):
             out.append(f)
     return out
-
-
-def fqpoly_str(f) -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}t" if i == 1 else f"{head}t^{i}")
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +495,10 @@ def noncyclic_centralizer_witness() -> FqMatrix:
 # group enumeration and scans
 
 
+# Entries of the largest product stack one scan step materialises at once.
+_CHUNK_ENTRIES = 2_000_000
+
+
 class GLGroup:
     """Fully enumerated GL_n(q) in lexicographic entry order, with caches."""
 
@@ -524,18 +516,50 @@ class GLGroup:
             raise AssertionError("enumeration does not match the group order")
         self.mats: tuple[FqMatrix, ...] = tuple(mats)
         self._index = {M.rows: i for i, M in enumerate(mats)}
-        self._np: np.ndarray | None = None
+        p, e = self.field.p, self.field.e
+        # _blocks[a] is the matrix of multiplication by a: column j holds the
+        # base-p digits of a * t^j, so column 0 holds the digits of a
+        images = np.array(self.field.mul_table, dtype=np.int64)[:, p ** np.arange(e)]
+        self._blocks = images[:, None, :] // p ** np.arange(e)[:, None] % p
+        # weight of digit i of entry (r, c): p^i q^(n^2 - 1 - (rn + c))
+        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64).reshape(n, 1, n)
+        self._weights = (place * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
+        self._lifted: np.ndarray | None = None
         self._cyclic: tuple[bool, ...] | None = None
         self._census: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
 
     def index_of(self, M: FqMatrix) -> int:
         return self._index[M.rows]
 
+    def lift(self, entries) -> np.ndarray:
+        """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
+        entry a becomes the e x e block of multiplication by a."""
+        entries = np.asarray(entries, dtype=np.int64)
+        d = self.n * self.field.e
+        return self._blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
+
     @property
-    def np_mats(self) -> np.ndarray:
-        if self._np is None:
-            self._np = np.array([[list(r) for r in M.rows] for M in self.mats], dtype=np.int64)
-        return self._np
+    def lifted(self) -> np.ndarray:
+        """Every group element lifted, stacked in group order."""
+        if self._lifted is None:
+            self._lifted = self.lift([M.rows for M in self.mats])
+        return self._lifted
+
+    def codes(self, lifted: np.ndarray) -> np.ndarray:
+        """The FqMatrix.encode value of each reduced lifted matrix in a stack,
+        read from column 0 of every e x e block."""
+        n, e = self.n, self.field.e
+        digits = lifted.reshape(lifted.shape[:-2] + (n, e, n, e))[..., 0]
+        return digits.reshape(lifted.shape[:-2] + (-1,)) @ self._weights
+
+    def products(self, X: np.ndarray, S: np.ndarray):
+        """Yield (start, X_k S mod p, S X_k mod p) over consecutive chunks X_k
+        of the lifted stack X, each product of shape (len(X_k), len(S), ne, ne)."""
+        p = self.field.p
+        chunk = max(1, _CHUNK_ENTRIES // max(1, len(S) * S.shape[-1] ** 2))
+        for start in range(0, len(X), chunk):
+            block = X[start:start + chunk, None]
+            yield start, block @ S % p, S @ block % p
 
     def center_indices(self) -> tuple[int, ...]:
         out = []
@@ -550,14 +574,11 @@ class GLGroup:
 
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
         """Indices of every group element commuting with M (full scan)."""
-        if self.field.e == 1:
-            A = self.np_mats
-            B = np.array([list(r) for r in M.rows], dtype=np.int64)
-            left = np.matmul(A, B) % self.q
-            right = np.matmul(B, A) % self.q
-            mask = (left == right).all(axis=(1, 2))
-            return tuple(int(i) for i in np.flatnonzero(mask))
-        return tuple(i for i, H in enumerate(self.mats) if H.commutes_with(M))
+        A = self.lifted
+        B = self.lift(M.rows)
+        p = self.field.p
+        mask = (A @ B % p == B @ A % p).all(axis=(1, 2))
+        return tuple(int(i) for i in np.flatnonzero(mask))
 
     def cyclic_centralizer_census(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(representatives, member sets) of all distinct centralizers of
@@ -596,11 +617,25 @@ def _gl_group_cached(n: int, q: int) -> GLGroup:
     return GLGroup(n, q)
 
 
-def gl_group(n: int, q: int, budget: Budget | None = None) -> GLGroup:
-    budget = _budget(budget)
+def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None = None,
+                      budget: Budget | None = None) -> None:
+    """Refuse a task over GL_n(q) that would exceed either budget, decided
+    from the closed-form group order before anything is enumerated.
+
+    The task takes |GL_n(q)| * steps_per_element scan steps; the default is
+    a pairwise scan, |GL_n(q)| steps per element.
+    """
+    budget = budget if budget is not None else DEFAULT_BUDGET
     order = gl_order(n).eval_int(q)
     if order > budget.elements:
         raise BudgetError(f"|GL_{n}({q})| exceeds the enumeration budget", order, budget.elements)
+    steps = order * (order if steps_per_element is None else steps_per_element)
+    if steps > budget.steps:
+        raise BudgetError(f"{task} exceeds the scan budget", steps, budget.steps)
+
+
+def gl_group(n: int, q: int, budget: Budget | None = None) -> GLGroup:
+    check_scan_budget(n, q, f"enumeration of GL_{n}({q})", 0, budget)
     return _gl_group_cached(n, q)
 
 
@@ -651,51 +686,22 @@ def count_cyclic_centralizers(n: int, q: int,
                               budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     """Number of distinct centralizers of cyclic matrices, plus one cyclic
     representative index per centralizer (the least, so output is stable)."""
-    budget = _budget(budget)
-    group = gl_group(n, q, budget)
-    if group.order * group.order > budget.steps:
-        raise BudgetError(
-            f"centralizer census of GL_{n}({q}) exceeds the scan budget",
-            group.order * group.order, budget.steps,
-        )
-    reps, sets = group.cyclic_centralizer_census()
+    check_scan_budget(n, q, f"centralizer census of GL_{n}({q})", budget=budget)
+    reps, sets = gl_group(n, q, budget).cyclic_centralizer_census()
     return len(sets), reps
 
 
 def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int:
-    """Order of {g : g C g^-1 = C}, by scanning the whole group."""
-    budget = _budget(budget)
+    """Order of {g : g C g^-1 = C}, by scanning the whole group.
+
+    The condition is tested as the equivalent set equality gC = Cg, on the
+    sorted encodings of both products, so no inverse is ever formed.
+    """
+    check_scan_budget(cset.n, cset.q, "normalizer scan", cset.order, budget)
     group = gl_group(cset.n, cset.q, budget)
-    if group.order * cset.order > budget.steps:
-        raise BudgetError(
-            "normalizer scan exceeds the scan budget",
-            group.order * cset.order, budget.steps,
-        )
-    member_rows = [group.mats[i] for i in cset.members]
-    if group.field.e == 1:
-        A = group.np_mats
-        C = np.array([[list(r) for r in M.rows] for M in member_rows], dtype=np.int64)
-        q = cset.q
-        n = cset.n
-        powers = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        target = np.sort(C.reshape(len(member_rows), -1) @ powers)
-        inverses = np.array(
-            [[list(r) for r in group.mats[i].inverse().rows] for i in range(group.order)],
-            dtype=np.int64,
-        )
-        count = 0
-        chunk = 512
-        for start in range(0, group.order, chunk):
-            G = A[start:start + chunk]
-            Gi = inverses[start:start + chunk]
-            conj = np.matmul(np.matmul(G[:, None], C[None, :]) % q, Gi[:, None]) % q
-            encs = np.sort(conj.reshape(G.shape[0], len(member_rows), -1) @ powers, axis=1)
-            count += int((encs == target).all(axis=1).sum())
-        return count
-    member_set = frozenset(M.rows for M in member_rows)
+    C = group.lifted[list(cset.members)]
     count = 0
-    for g in group.mats:
-        ginv = g.inverse()
-        if frozenset((g @ M @ ginv).rows for M in member_rows) == member_set:
-            count += 1
+    for _, left, right in group.products(group.lifted, C):
+        same = np.sort(group.codes(left), axis=1) == np.sort(group.codes(right), axis=1)
+        count += int(same.all(axis=1).sum())
     return count

@@ -3,6 +3,7 @@ import pytest
 from glcensus.census import UnsupportedRegimeError
 from glcensus.clique import (
     CliqueResult,
+    _pairwise_noncommuting,
     SolverBudget,
     build_graph,
     compute_omega,
@@ -11,7 +12,7 @@ from glcensus.clique import (
     seed_clique,
     verify_clique,
 )
-from glcensus.oracle import gl_group
+from glcensus.oracle import BudgetError, _gl_group_cached, gl_group
 
 
 def test_graph_shapes():
@@ -140,3 +141,27 @@ def test_solver_determinism():
     b = max_clique(graph)
     assert a.size == b.size == 13
     assert a.witness == b.witness
+
+
+def test_pairwise_noncommuting_extension_field():
+    group = gl_group(2, 4)
+    seed = seed_clique(2, 4)
+    assert _pairwise_noncommuting(group, seed)
+    M = group.mats[seed[0]]
+    square = group.index_of(M @ M)
+    assert square != seed[0]
+    assert not _pairwise_noncommuting(group, (seed[0], square))
+    assert not _pairwise_noncommuting(group, seed + (square,))
+
+
+def test_graph_refusal_precedes_enumeration():
+    cached = _gl_group_cached.cache_info().currsize
+    with pytest.raises(BudgetError):
+        build_graph(3, 4)
+    assert _gl_group_cached.cache_info().currsize == cached
+
+
+def test_omega_short_circuit_reports_elapsed_time():
+    res, _ = compute_omega(2, 3)
+    assert res.steps == 0
+    assert res.seconds > 0

@@ -9,6 +9,7 @@ from glcensus.oracle import (
     BudgetError,
     CentralizerSet,
     FqMatrix,
+    _gl_group_cached,
     centralizer,
     char_poly,
     count_cyclic_centralizers,
@@ -80,9 +81,20 @@ def test_enumerate_lex_order_and_budget():
 
 def test_budget_refuses_gl34_census_by_default():
     # enumeration of GL_3(4) fits the element budget, but the quadratic
-    # centralizer census does not fit the step budget
+    # centralizer census does not fit the step budget; the refusal comes
+    # from the closed-form order, before the group is enumerated
+    cached = _gl_group_cached.cache_info().currsize
     with pytest.raises(BudgetError):
         count_cyclic_centralizers(3, 4)
+    assert _gl_group_cached.cache_info().currsize == cached
+
+
+def test_normalizer_refusal_precedes_enumeration():
+    cached = _gl_group_cached.cache_info().currsize
+    with pytest.raises(BudgetError) as err:
+        normalizer_of_set(CentralizerSet(n=3, q=4, members=(0,)), Budget(steps=10))
+    assert err.value.required == gl_order(3).eval_int(4)
+    assert _gl_group_cached.cache_info().currsize == cached
 
 
 # --- minimal and characteristic polynomials ----------------------------------
@@ -331,3 +343,47 @@ def test_center_indices():
         if all(M.commutes_with(H) for H in group.mats)
     )
     assert brute == group.center_indices()
+
+
+# --- the lifted representation against the per-element reference -----------
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_lift_codes_roundtrip(q):
+    group = gl_group(2, q)
+    codes = group.codes(group.lifted)
+    assert codes.tolist() == [M.encode() for M in group.mats]
+    assert group.lifted.shape[1:] == (2 * group.field.e,) * 2
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_lift_is_multiplicative(q):
+    group = gl_group(2, q)
+    p = group.field.p
+    sample = group.mats[:: max(1, group.order // 40)]
+    for A in sample:
+        for B in sample[::3]:
+            product = group.lift(A.rows) @ group.lift(B.rows) % p
+            assert int(group.codes(product)) == (A @ B).encode()
+
+
+def test_commuting_indices_matches_per_element_scan():
+    group = gl_group(2, 4)
+    F = group.field
+    singular = matrix_from_flat(F, 2, (0, 2, 0, 0))
+    for M in list(group.mats[::23]) + [singular, FqMatrix.identity(F, 2)]:
+        expect = tuple(i for i, H in enumerate(group.mats) if H.commutes_with(M))
+        assert group.commuting_indices(M) == expect
+
+
+def test_normalizer_matches_conjugation_reference():
+    group = gl_group(2, 4)
+    _, reps = count_cyclic_centralizers(2, 4)
+    for idx in list(reps[::4]) + [group.center_indices()[1]]:
+        cset = centralizer(group.mats[idx])
+        members = frozenset(group.mats[i].rows for i in cset.members)
+        expect = sum(
+            1 for g in group.mats
+            if frozenset((g @ group.mats[i] @ g.inverse()).rows for i in cset.members) == members
+        )
+        assert normalizer_of_set(cset) == expect
