@@ -3,7 +3,8 @@
 table1.json is never written by this script: it is the externally published
 table, and the whole point of keeping it in the repository is regression
 safety independent of recomputation.  This script refuses to continue if the
-computed census polynomials disagree with it.
+computed census polynomials disagree with it, and it writes b_rationals.json
+only when the interpolated b_n equal the label sums they are defined by.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from glcensus.census import a_polynomial, b_coefficient, phi_count
+from glcensus.census import a_polynomial, b_coefficient, class_sum, phi_count
 from glcensus.clique import compute_omega
 from glcensus.exactalg import poly_from_json, rf_to_json
 
@@ -30,6 +31,9 @@ def main() -> None:
     (GOLDEN_DIR / "phi_counts.json").write_text(json.dumps(phi, indent=2) + "\n")
     print("wrote phi_counts.json")
 
+    for n in range(9):
+        if class_sum(n) != b_coefficient(n):
+            raise SystemExit(f"b_{n} from the class sum disagrees with the interpolated census")
     b = {str(n): rf_to_json(b_coefficient(n)) for n in range(9)}
     (GOLDEN_DIR / "b_rationals.json").write_text(json.dumps(b, indent=2) + "\n")
     print("wrote b_rationals.json")

@@ -51,9 +51,6 @@ class RatInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def __contains__(self, other: RatInterval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

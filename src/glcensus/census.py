@@ -4,8 +4,20 @@ The conjugacy classes of covering subgroups are labelled by weight functions
 mu : (d, m) -> multiplicities with sum d*m*mu(d,m) = n.  Each label carries an
 explicit normaliser-order product, and summing the reciprocals over all
 labels of weight n gives the census coefficient b_n.  Multiplying b_n by
-|GL_n(q)| yields an integer polynomial in q: the number of covering
+|GL_n(q)| yields an integer polynomial a_n in q: the number of covering
 subgroups, exact for q > 2 and an upper bound at q = 2.
+
+The label sum is the definition, but it is not how b_n is computed.  Summing
+over labels factors block by block, so b_n is the t^n coefficient of
+exp(sum_k L_k t^k) with L_k = sum_{dm=k} 1/N(d, m), N the normaliser of one
+block.  At an integer point q = q0 the recurrence j b_j = sum_k k L_k b_{j-k}
+gives b_n(q0) exactly in O(n^2) rational operations, hence the integer
+a_n(q0).  a_polynomial interpolates a_n, of degree n^2 - n, from its values
+at the consecutive nodes q0 = 2 .. n^2-n+2 in integer arithmetic (Newton
+form), confirms it at one extra node and checks that it is monic of the
+right degree; b_coefficient is then a_n / |GL_n| after one reduction.
+class_sum keeps the label sum itself as the definition-level cross-check for
+the verification suite and the tests.
 
 All values are exact rational functions of the formal symbol q; nothing here
 depends on a specific field size until an evaluation point is supplied.
@@ -122,7 +134,7 @@ def _block_normalizer(d: int, m: int) -> RationalFunction:
 def _denominator_shape(mu: MuFunction) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """Split 1/normalizer_order(mu) as (q-power, (q^d-1)-exponents, integer).
 
-    Lets b_coefficient group the many labels that share a polynomial
+    Lets class_sum group the many labels that share a polynomial
     denominator before doing any rational-function arithmetic.
     """
     qpow = 0
@@ -150,9 +162,13 @@ def _rf_sum(terms: list[RationalFunction]) -> RationalFunction:
     return terms[0]
 
 
-@lru_cache(maxsize=None)
-def b_coefficient(n: int) -> RationalFunction:
-    """Sum over all weight-n labels of 1/normalizer_order(mu)."""
+def class_sum(n: int) -> RationalFunction:
+    """b_n straight from its definition: the sum over all weight-n labels of
+    1/normalizer_order(mu).
+
+    Not cached and not used by :func:`b_coefficient`; it is the independent
+    reference against which the interpolated census is checked.
+    """
     by_shape: dict[tuple, Fraction] = {}
     for mu in enumerate_phi(n):
         qpow, exps, const = _denominator_shape(mu)
@@ -169,6 +185,16 @@ def b_coefficient(n: int) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
+def b_coefficient(n: int) -> RationalFunction:
+    """The t^n coefficient of the census generating function: a_n / |GL_n|."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return RF_ONE
+    return make_rf(a_polynomial(n), gl_order(n))
+
+
+@lru_cache(maxsize=None)
 def gl_order(n: int) -> IntPolynomial:
     """|GL_n(q)| = prod_{i=0..n-1} (q^n - q^i) as an integer polynomial."""
     result = ONE_POLY
@@ -180,19 +206,68 @@ def gl_order(n: int) -> IntPolynomial:
     return result
 
 
+def _node_value(n: int, q0: int) -> int:
+    """a_n(q0) = b_n(q0) * |GL_n(q0)|, from the log/exp recurrence at q = q0.
+
+    log F = sum_k L_k t^k with L_k = sum_{dm=k} 1/N(d, m), N the block
+    normaliser; F' = (log F)' F gives j b_j = sum_{k=1..j} k L_k b_{j-k}.
+    """
+    k_log = [Fraction(0)] * (n + 1)  # k * L_k(q0)
+    for d in range(1, n + 1):
+        for m in range(1, n // d + 1):
+            k_log[d * m] += Fraction(d * m, _block_normalizer(d, m).num.eval_int(q0))
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(sum(k_log[k] * b[j - k] for k in range(1, j + 1)) / j)
+    value = b[n] * gl_order(n).eval_int(q0)
+    if value.denominator != 1:
+        raise ConsistencyError(f"a_{n}({q0}) = {value} is not an integer")
+    return value.numerator
+
+
+def _newton_interpolate(values: list[int], first: int) -> IntPolynomial:
+    """The integer polynomial of degree < len(values) taking values[i] at first + i.
+
+    Newton form over the consecutive nodes: the k-th forward difference of an
+    integer polynomial is divisible by k!, so every coefficient is an exact
+    integer quotient, and a remainder means the values fit no such polynomial.
+    """
+    diffs = list(values)
+    newton = []
+    factorial = 1
+    for k in range(len(values)):
+        c, r = divmod(diffs[0], factorial)
+        if r:
+            raise ConsistencyError(f"forward difference {k} is not divisible by {k}!")
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        factorial *= k + 1
+    # Horner: p = c_0 + (q - x_0)(c_1 + (q - x_1)(c_2 + ...)), x_k = first + k
+    acc: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        x = first + k
+        acc.insert(0, 0)
+        for i in range(len(acc) - 1):
+            acc[i] -= x * acc[i + 1]
+        acc[0] += newton[k]
+    return IntPolynomial.from_coeffs(acc)
+
+
 @lru_cache(maxsize=None)
 def a_polynomial(n: int) -> IntPolynomial:
     """b_n * |GL_n(q)|: the subgroup count, monic of degree n^2 - n.
 
     Exact count for q > 2; an upper bound when evaluated at q = 2.
+    Interpolated from its values at q = 2..n^2-n+2 and checked at one more.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    product = b_coefficient(n) * rf_from_poly(gl_order(n))
-    if not product.is_polynomial:
-        raise ConsistencyError(f"b_{n} * |GL_{n}| is not a polynomial: {product}")
-    poly = product.as_polynomial()
-    if poly.degree != n * n - n or poly.leading != 1:
+    degree = n * n - n
+    poly = _newton_interpolate([_node_value(n, q0) for q0 in range(2, degree + 3)], 2)
+    check = degree + 3
+    if poly.eval_int(check) != _node_value(n, check):
+        raise ConsistencyError(f"census polynomial for n={n} misses its check node q={check}")
+    if poly.degree != degree or poly.leading != 1:
         raise ConsistencyError(
             f"census polynomial for n={n} has degree {poly.degree}, leading {poly.leading}"
         )
@@ -207,7 +282,7 @@ def omega_closed(n: int, q: int) -> int:
     for the split torus, |GL_q(q)| / ((q-1)^q * q!)).  Anything else raises,
     deliberately: a bound is not a value.
     """
-    _check_prime_power(q)
+    check_prime_power(q)
     if q > n:
         value = a_polynomial(n).eval(q)
     elif q == n and q > 2:
@@ -265,7 +340,7 @@ def census_row(n: int) -> CensusRow:
     return CensusRow(n=n, b_n=b_coefficient(n), a_poly=a_polynomial(n), class_count=phi_count(n))
 
 
-def _check_prime_power(q: int) -> tuple[int, int]:
+def check_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime; raise for anything else."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")

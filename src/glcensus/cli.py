@@ -44,7 +44,7 @@ def cmd_census(args) -> int:
     }
     if args.q is not None:
         q = args.q
-        census._check_prime_power(q)
+        census.check_prime_power(q)
         value = row.a_poly.eval_int(q)
         regime = "exact count" if q > 2 else "upper bound"
         payload["q"] = q

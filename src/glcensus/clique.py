@@ -126,10 +126,8 @@ def _degeneracy_order(adj: np.ndarray) -> list[int]:
 
 
 def _bits_from_bools(row: np.ndarray) -> int:
-    out = 0
-    for j in np.flatnonzero(row):
-        out |= 1 << int(j)
-    return out
+    """The row as a bitset: bit j is set exactly when row[j] is true."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]:

@@ -161,27 +161,25 @@ class IntPolynomial:
 
         Raises ValueError unless both are representable with integer
         coefficients, which is the only case this package needs (exact
-        division and divisibility tests of primitive polynomials).
+        division and divisibility tests of primitive polynomials).  Every
+        quotient coefficient is an integer exactly when each step's division
+        by the leading coefficient is, so the work stays in integers.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         db = other.degree
         lb = other.coeffs[-1]
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
+        quo = [0] * max(len(rem) - db, 0)
         for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] / lb
+            c, r = divmod(rem[i + db], lb)
+            if r:
+                raise ValueError("division did not stay integral")
             if c:
                 quo[i] = c
                 for j, bc in enumerate(other.coeffs):
                     rem[i + j] -= c * bc
-        for c in quo + rem:
-            if c.denominator != 1:
-                raise ValueError("division did not stay integral")
-        return (
-            IntPolynomial(_trim([int(c) for c in quo])),
-            IntPolynomial(_trim([int(c) for c in rem])),
-        )
+        return IntPolynomial(_trim(quo)), IntPolynomial(_trim(rem))
 
     def divides(self, other: IntPolynomial) -> bool:
         if self.is_zero:

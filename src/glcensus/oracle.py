@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from glcensus.census import _check_prime_power, gl_order
+from glcensus.census import check_prime_power, gl_order
 
 
 class BudgetError(RuntimeError):
@@ -112,7 +112,7 @@ class Fq:
     """
 
     def __init__(self, q: int):
-        p, e = _check_prime_power(q)
+        p, e = check_prime_power(q)
         self.q = q
         self.p = p
         self.e = e

@@ -179,10 +179,6 @@ class PowerSeries:
         return ps_mul(self, other)
 
 
-def ps_zero(order: int, ring=RATFUNC) -> PowerSeries:
-    return PowerSeries(order, tuple(ring.zero() for _ in range(order + 1)), ring)
-
-
 def ps_one(order: int, ring=RATFUNC) -> PowerSeries:
     return PowerSeries(order, (ring.one(),) + tuple(ring.zero() for _ in range(order)), ring)
 

@@ -139,10 +139,13 @@ def check_b_goldens(golden_dir=None) -> tuple[str, str]:
 def check_fbar_vs_class_sum() -> tuple[str, str]:
     fbar = qseries.build_fbar(12)
     bad = [
-        f"t^{n}" for n in range(13) if fbar[n] != census.b_coefficient(n)
+        f"t^{n}" for n in range(13)
+        if not fbar[n] == census.class_sum(n) == census.b_coefficient(n)
     ]
     status, detail = _fail_list(bad)
-    return status, detail or "product-form coefficients equal the class sums for n<=12"
+    return status, detail or (
+        "product-form coefficients equal the class sums and the interpolated b_n for n<=12"
+    )
 
 
 def check_f1_forms() -> tuple[str, str]:

@@ -34,7 +34,7 @@ def test_interval_nesting():
     prev = l_of_q(3, 2)
     for terms in (4, 8, 16, 30):
         cur = l_of_q(3, terms)
-        assert cur in prev
+        assert prev.lo <= cur.lo and cur.hi <= prev.hi
         assert cur.width <= prev.width
         prev = cur
 

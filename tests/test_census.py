@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from glcensus import census
 from glcensus.census import (
     ConsistencyError,
     MuFunction,
@@ -10,6 +11,7 @@ from glcensus.census import (
     a_polynomial,
     b_coefficient,
     census_row,
+    class_sum,
     enumerate_phi,
     gl_order,
     normalizer_order,
@@ -94,15 +96,41 @@ def test_b2_three_term_sum():
 def test_b_trivial_values():
     assert b_coefficient(0) == rf([1])
     assert b_coefficient(1) == rf([1], [-1, 1])
+    with pytest.raises(ValueError):
+        b_coefficient(-1)
 
 
 def test_b_matches_naive_label_sum():
-    # the grouped summation must equal the plain sum over labels
-    for n in range(7):
-        naive = rf([0])
-        for mu in enumerate_phi(n):
-            naive = naive + rf([1]) / normalizer_order(mu)
-        assert b_coefficient(n) == naive
+    # the interpolated b_n equals the grouped label sum, which must equal the
+    # plain sum over labels
+    for n in range(11):
+        grouped = class_sum(n)
+        assert b_coefficient(n) == grouped, f"n={n}"
+        if n < 7:
+            naive = rf([0])
+            for mu in enumerate_phi(n):
+                naive = naive + rf([1]) / normalizer_order(mu)
+            assert grouped == naive, f"n={n}"
+
+
+# a_4 has degree 12: nodes q = 2..14, check node q = 15.
+@pytest.mark.parametrize("node, delta, message", [
+    (15, 1, "check node"),  # only the extra node can see this one
+    (9, 1, "not divisible"),  # no integer polynomial fits the nodes
+    (9, math.factorial(12), "check node"),  # an integer polynomial fits, the wrong one
+])
+def test_a_polynomial_rejects_a_wrong_node_value(monkeypatch, node, delta, message):
+    exact = census._node_value
+    monkeypatch.setattr(census, "_node_value",
+                        lambda n, q0: exact(n, q0) + (delta if q0 == node else 0))
+    with pytest.raises(ConsistencyError, match=message):
+        census.a_polynomial.__wrapped__(4)
+
+
+def test_node_value_must_be_an_integer(monkeypatch):
+    monkeypatch.setattr(census, "gl_order", lambda n: P([1]))
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        census._node_value(3, 2)
 
 
 def test_gl_order():
@@ -132,7 +160,7 @@ def test_a_polynomial_table1():
 
 
 def test_a_polynomial_shape():
-    for n in range(1, 11):
+    for n in (*range(1, 11), 16):
         poly = a_polynomial(n)
         assert poly.degree == n * n - n
         assert poly.leading == 1
@@ -168,7 +196,7 @@ def test_stabilized_prefix():
     assert stabilized_prefix(2) == [1]
     assert stabilized_prefix(6) == [1, 1, 4]
     assert stabilized_prefix(8) == [1, 1, 4, 10]
-    for n in range(2, 11):
+    for n in (*range(2, 11), 16):
         poly = a_polynomial(n)
         top = list(reversed(poly.coeffs))[: n // 2]
         assert top == stabilized_prefix(n), f"n={n}"

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from glcensus.census import UnsupportedRegimeError
 from glcensus.clique import (
     CliqueResult,
+    _bits_from_bools,
     _pairwise_noncommuting,
     SolverBudget,
     build_graph,
@@ -165,3 +167,20 @@ def test_omega_short_circuit_reports_elapsed_time():
     res, _ = compute_omega(2, 3)
     assert res.steps == 0
     assert res.seconds > 0
+
+
+def bits_by_loop(row) -> int:
+    """The former per-bit packing, kept as the reference for _bits_from_bools."""
+    out = 0
+    for j in np.flatnonzero(row):
+        out |= 1 << int(j)
+    return out
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 1000])
+def test_bits_from_bools_matches_loop(length):
+    rng = np.random.default_rng(length)
+    rows = [np.zeros(length, dtype=bool), np.ones(length, dtype=bool),
+            rng.random(length) < 0.5]
+    for row in rows:
+        assert _bits_from_bools(row) == bits_by_loop(row)

@@ -154,3 +154,53 @@ def test_poly_gcd_divides_and_is_maximal(a, b, g):
 def test_rf_from_fraction():
     assert rf_from_fraction(Fraction(3, 4)) == rf([3], [4])
     assert rf_eval(rf_from_fraction(Fraction(-2, 7)), 10) == Fraction(-2, 7)
+
+
+def fraction_divmod(a: IntPolynomial, b: IntPolynomial):
+    """The former rational long division, kept as the reference for divmod."""
+    rem = [Fraction(c) for c in a.coeffs]
+    db, lb = b.degree, b.coeffs[-1]
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = rem[i + db] / lb
+        if c:
+            quo[i] = c
+            for j, bc in enumerate(b.coeffs):
+                rem[i + j] -= c * bc
+    for c in quo + rem:
+        if c.denominator != 1:
+            raise ValueError("division did not stay integral")
+    return P([int(c) for c in quo]), P([int(c) for c in rem])
+
+
+@st.composite
+def division_cases(draw):
+    """(dividend, divisor): exact multiples, multiples plus a remainder, and
+    arbitrary pairs, whose quotient is often not integral."""
+    b = draw(nonzero_polys)
+    kind = draw(st.sampled_from(["exact", "remainder", "arbitrary"]))
+    if kind == "arbitrary":
+        return draw(polys), b
+    a = draw(polys) * b
+    if kind == "remainder":
+        a = a + P(draw(st.lists(small_ints, max_size=max(b.degree, 0))))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases())
+def test_divmod_matches_fraction_reference(case):
+    a, b = case
+    try:
+        expected = fraction_divmod(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            a.divmod(b)
+    else:
+        assert a.divmod(b) == expected
+
+
+def test_divmod_raises_on_non_integral_quotient():
+    with pytest.raises(ValueError):
+        P([1, 0, 1]).divmod(P([1, 2]))  # (q^2+1)/(2q+1) needs halves
+    assert P([1, 0, 2]).divmod(P([0, 2])) == (P([0, 1]), P([1]))
