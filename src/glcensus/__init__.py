@@ -1,19 +1,5 @@
 """Exact census of the abelian covers of GL_n(q) and its group-level verification."""
 
-from glcensus.exactalg import (
-    BigRational,
-    IntPolynomial,
-    RationalFunction,
-    phi_d,
-    rf_arith,
-    rf_eval,
-)
+from glcensus.exactalg import IntPolynomial, RationalFunction
 
-__all__ = [
-    "BigRational",
-    "IntPolynomial",
-    "RationalFunction",
-    "phi_d",
-    "rf_arith",
-    "rf_eval",
-]
+__all__ = ["IntPolynomial", "RationalFunction"]

@@ -19,6 +19,11 @@ right degree; b_coefficient is then a_n / |GL_n| after one reduction.
 class_sum keeps the label sum itself as the definition-level cross-check for
 the verification suite and the tests.
 
+block_normalizer is the one definition of N(d, m); qseries builds the exp
+forms of the generating function from it too.  _denominator_shape, which
+class_sum uses, encodes the same normaliser independently as a q-power,
+(q^d - 1)-exponents and an integer, so the cross-check does not share it.
+
 All values are exact rational functions of the formal symbol q; nothing here
 depends on a specific field size until an evaluation point is supplied.
 """
@@ -116,14 +121,16 @@ def normalizer_order(mu: MuFunction) -> RationalFunction:
     """
     result = RF_ONE
     for (d, m), mult in mu.items:
-        base = _block_normalizer(d, m)
+        base = block_normalizer(d, m)
         result = result * base ** mult
         result = result * make_rf(IntPolynomial.const(math.factorial(mult)), ONE_POLY)
     return result
 
 
 @lru_cache(maxsize=None)
-def _block_normalizer(d: int, m: int) -> RationalFunction:
+def block_normalizer(d: int, m: int) -> RationalFunction:
+    """N(d, m): the normaliser order of one block, d(q^d-1) when m = 1 and
+    d(q^d-1)^2 q^(d(2m-3)) when m > 1, as a polynomial RationalFunction."""
     qd_minus_1 = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
     if m == 1:
         return rf_from_poly(qd_minus_1.scale(d))
@@ -215,7 +222,7 @@ def _node_value(n: int, q0: int) -> int:
     k_log = [Fraction(0)] * (n + 1)  # k * L_k(q0)
     for d in range(1, n + 1):
         for m in range(1, n // d + 1):
-            k_log[d * m] += Fraction(d * m, _block_normalizer(d, m).num.eval_int(q0))
+            k_log[d * m] += Fraction(d * m, block_normalizer(d, m).num.eval_int(q0))
     b = [Fraction(1)]
     for j in range(1, n + 1):
         b.append(sum(k_log[k] * b[j - k] for k in range(1, j + 1)) / j)
@@ -326,18 +333,6 @@ def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
                 if b[j]:
                     out[i + j] += ca * b[j]
     return out
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    n: int
-    b_n: RationalFunction
-    a_poly: IntPolynomial
-    class_count: int
-
-
-def census_row(n: int) -> CensusRow:
-    return CensusRow(n=n, b_n=b_coefficient(n), a_poly=a_polynomial(n), class_count=phi_count(n))
 
 
 def check_prime_power(q: int) -> tuple[int, int]:

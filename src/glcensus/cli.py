@@ -5,6 +5,10 @@ human-readable table unless --json is given.  Execution is sequential, so
 every output is deterministic.
 --budget N caps group enumeration at N elements and scan work at 5000*N
 steps (the defaults are 200000 and 10^9).
+
+Exit codes: 0 on success; 1 when a check or search the command ran fails;
+2 when the request is refused or invalid (bad input, a budget, a regime with
+no closed formula), which prints one line of JSON {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -35,17 +39,19 @@ def _budget_from_args(args) -> oracle.Budget | None:
 
 def cmd_census(args) -> int:
     n = args.n
-    row = census.census_row(n)
+    class_count = census.phi_count(n)
+    b_n = census.b_coefficient(n)
+    a_poly = census.a_polynomial(n)
     payload: dict = {
         "n": n,
-        "class_count": row.class_count,
-        "b_n": exactalg.rf_to_json(row.b_n),
-        "a_polynomial": exactalg.poly_to_json(row.a_poly),
+        "class_count": class_count,
+        "b_n": exactalg.rf_to_json(b_n),
+        "a_polynomial": exactalg.poly_to_json(a_poly),
     }
     if args.q is not None:
         q = args.q
         census.check_prime_power(q)
-        value = row.a_poly.eval_int(q)
+        value = a_poly.eval_int(q)
         regime = "exact count" if q > 2 else "upper bound"
         payload["q"] = q
         payload["subgroup_count"] = {"value": str(value), "regime": regime}
@@ -60,9 +66,9 @@ def cmd_census(args) -> int:
         _emit(payload)
     else:
         print(f"n = {n}")
-        print(f"  abelian-cover classes : {row.class_count}")
-        print(f"  b_n                   : {row.b_n}")
-        print(f"  subgroup count        : {row.a_poly}")
+        print(f"  abelian-cover classes : {class_count}")
+        print(f"  b_n                   : {b_n}")
+        print(f"  subgroup count        : {a_poly}")
         if args.q is not None:
             sc = payload["subgroup_count"]
             print(f"  at q = {args.q}           : {sc['value']} ({sc['regime']})")
@@ -84,14 +90,14 @@ def cmd_series(args) -> int:
     u_order = args.u_order
     if which == "fbar":
         if form != "exp":
-            raise SystemExit("Fbar is built from the exp forms; use --form exp")
+            raise ValueError("Fbar is built from the exp forms; use --form exp")
         series = qseries.build_fbar(order)
     elif which == "f1":
         series = qseries.build_f1(order, form, u_order)
     elif which == "f2":
         series = qseries.build_f2(order, form, u_order)
     else:
-        raise SystemExit(f"unknown series {args.which!r}")
+        raise ValueError(f"unknown series {args.which!r}")
     if isinstance(series.ring, qseries.USeriesRing):
         coeffs = [{"u_order": c.u_order, "coeffs": [str(x) for x in c.coeffs]}
                   for c in series.coeffs]
@@ -177,7 +183,7 @@ def cmd_oracle(args) -> int:
         })
     elif task == "remark-matrix":
         if (n, q) != (4, 2):
-            raise SystemExit("the witness matrix lives in GL_4(2); use --n 4 --q 2")
+            raise ValueError("the witness matrix lives in GL_4(2); use --n 4 --q 2")
         witness = oracle.noncyclic_centralizer_witness()
         cset = oracle.centralizer(witness, budget)
         group = oracle.gl_group(4, 2, budget)
@@ -202,7 +208,7 @@ def cmd_oracle(args) -> int:
         ok = not failures
         payload.update({"cases": cases, "failures": failures, "as_expected": ok})
     else:
-        raise SystemExit(f"unknown oracle task {task!r}")
+        raise ValueError(f"unknown oracle task {task!r}")
     payload["status"] = "pass" if ok else "fail"
     _emit(payload)
     return 0 if ok else 1
@@ -335,7 +341,12 @@ def main(argv=None) -> int:
     args.json = getattr(args, "json", False)
     args.seed = getattr(args, "seed", 0)
     args.budget = getattr(args, "budget", None)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, oracle.BudgetError) as exc:
+        # UnsupportedRegimeError and DivergenceError are ValueErrors
+        print(json.dumps({"error": str(exc)}))
+        return 2
 
 
 if __name__ == "__main__":

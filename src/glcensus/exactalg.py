@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-BigRational = Fraction
-
 
 class PoleError(ArithmeticError):
     """Evaluation of a rational function at a root of its denominator."""
@@ -67,12 +65,6 @@ class IntPolynomial:
     @staticmethod
     def const(c: int) -> IntPolynomial:
         return IntPolynomial((int(c),) if c else ())
-
-    @staticmethod
-    def monomial(degree: int, c: int = 1) -> IntPolynomial:
-        if c == 0:
-            return ZERO_POLY
-        return IntPolynomial((0,) * degree + (int(c),))
 
     @property
     def is_zero(self) -> bool:
@@ -225,7 +217,6 @@ class IntPolynomial:
 
 ZERO_POLY = IntPolynomial(())
 ONE_POLY = IntPolynomial((1,))
-Q_POLY = IntPolynomial((0, 1))
 
 
 def _norm1(p: IntPolynomial) -> int:
@@ -337,11 +328,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den == ONE_POLY
 
-    def as_polynomial(self) -> IntPolynomial:
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     def __add__(self, other: RationalFunction) -> RationalFunction:
         if self.is_zero:
             return other
@@ -428,39 +414,6 @@ def rf_from_fraction(x: Fraction | int) -> RationalFunction:
 
 RF_ZERO = RationalFunction(ZERO_POLY, ONE_POLY)
 RF_ONE = RationalFunction(ONE_POLY, ONE_POLY)
-RF_Q = RationalFunction(Q_POLY, ONE_POLY)
-
-
-def rf_arith(lhs: RationalFunction, rhs: RationalFunction, op: str) -> RationalFunction:
-    """Dispatch form of the four arithmetic operations ('add' ... 'div')."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_eval(f: RationalFunction, q0: Fraction | int) -> Fraction:
-    return f.eval(q0)
-
-
-def phi_d(d: int) -> RationalFunction:
-    """The product (1 - q^-1)(1 - q^-2)...(1 - q^-d) as a rational function.
-
-    phi_d(0) = 1.  Denominator is the pure power q^(d(d+1)/2), numerator the
-    product of (q^i - 1), which has constant term +-1, so the quotient is
-    already canonical.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    num = ONE_POLY
-    for i in range(1, d + 1):
-        num = num * IntPolynomial((-1,) + (0,) * (i - 1) + (1,))
-    return make_rf(num, ONE_POLY.shift_up(d * (d + 1) // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ Two coefficient rings are supported:
     generating functions only have finite descriptions here, because their
     t-coefficients are infinite sums of powers of 1/q.
 
-The census generating function factors as fbar = f1 * f2, where f1 collects
-the multiplicity-one blocks (maximal tori) and f2 the blocks of multiplicity
-at least two.  Each factor is constructible in several provably equal forms
-(exponential, closed sum, infinite product), and the builders below expose
-all of them so the equalities can be tested coefficient by coefficient.
+The census generating function is fbar = exp(sum_{d,m} t^(dm) / N(d, m)),
+with N(d, m) = census.block_normalizer(d, m) the normaliser order of one
+block.  It factors as fbar = f1 * f2, where f1 collects the multiplicity-one
+blocks (maximal tori) and f2 the blocks of multiplicity at least two.  The
+exp form of each is one ps_exp of one log series, the same log/exp
+recurrence census runs at integer points.  f1 and f2 also have other,
+provably equal forms (closed sum, infinite product), and the builders below
+expose all of them so the equalities can be tested coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from glcensus.census import block_normalizer
 from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
@@ -38,7 +43,6 @@ FORM_EXP = "exp"
 FORM_SUM = "sum"
 FORM_PRODUCT = "product"
 
-DEFAULT_T_ORDER = 12
 DEFAULT_U_ORDER = 40
 
 
@@ -208,21 +212,23 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def ps_exp(a: PowerSeries) -> PowerSeries:
-    """Exponential sum_k a^k / k!, exact in the coefficient ring.
+    """Exponential of a series with zero constant term, exact in its ring.
 
-    Requires a zero constant term, so the sum terminates at k = order.
+    F = exp(a) satisfies F' = a' F, so F_0 = 1 and
+    j F_j = sum_{k=1..j} k a_k F_{j-k}: O(order^2) ring products.
     """
     ring = a.ring
     if not ring.is_zero(a.coeffs[0]):
         raise ValueError("ps_exp requires a zero constant term")
-    result = ps_one(a.order, ring)
-    term = ps_one(a.order, ring)
-    for k in range(1, a.order + 1):
-        term = ps_mul(term, a)
-        inv_k = ring.from_fraction(Fraction(1, k))
-        term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), ring)
-        result = result + term
-    return result
+    k_a = [ring.from_fraction(Fraction(k)) * c for k, c in enumerate(a.coeffs)]
+    out = [ring.one()]
+    for j in range(1, a.order + 1):
+        acc = ring.zero()
+        for k in range(1, j + 1):
+            if not ring.is_zero(k_a[k]) and not ring.is_zero(out[j - k]):
+                acc = acc + k_a[k] * out[j - k]
+        out.append(ring.from_fraction(Fraction(1, j)) * acc)
+    return PowerSeries(a.order, tuple(out), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +269,13 @@ def rf_to_useries(f: RationalFunction, u_order: int) -> UCoeff:
 # the census generating function and its factors
 
 
-def _torus_block_weight(d: int) -> RationalFunction:
-    # 1 / (d (1-q^-d) q^d) = 1 / (d (q^d - 1))
-    den = IntPolynomial((-1,) + (0,) * (d - 1) + (1,)).scale(d)
-    return make_rf(ONE_POLY, den)
-
-
-def _repeated_block_weight(d: int, m: int) -> RationalFunction:
-    # 1 / (d (1-q^-d)^2 q^(2dm-d)) = 1 / (d (q^d-1)^2 q^(d(2m-3)))
-    qd = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
-    den = (qd * qd).scale(d).shift_up(d * (2 * m - 3))
-    return make_rf(ONE_POLY, den)
+def _exp_form(order: int, multiplicities: range) -> PowerSeries:
+    """exp(sum of t^(dm) / N(d, m) over the blocks with m in multiplicities)."""
+    log = [RF_ZERO] * (order + 1)
+    for m in multiplicities:
+        for d in range(1, order // m + 1):
+            log[d * m] = log[d * m] + RF_ONE / block_normalizer(d, m)
+    return ps_exp(PowerSeries(order, tuple(log), RATFUNC))
 
 
 def _geometric_factor(order: int, ring: USeriesRing, t_step: int, u_step: int,
@@ -291,16 +293,12 @@ def _geometric_factor(order: int, ring: USeriesRing, t_step: int, u_step: int,
 def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeries:
     """The maximal-torus factor of the census generating function.
 
-    exp form:      prod_d exp(t^d / (d (1-q^-d]) q^d))          [RATFUNC]
-    sum form:      sum_d t^d * q^(d(d-1)/2) / prod_i (q^i - 1)  [RATFUNC]
-    product form:  prod_{i>=0} (1 - q^-(i+1) t)^-1              [USERIES]
+    exp form:      exp(sum_d t^d / N(d, 1)), N(d, 1) = d (q^d - 1)  [RATFUNC]
+    sum form:      sum_d t^d * q^(d(d-1)/2) / prod_i (q^i - 1)       [RATFUNC]
+    product form:  prod_{i>=0} (1 - q^-(i+1) t)^-1                   [USERIES]
     """
     if form == FORM_EXP:
-        result = ps_one(order, RATFUNC)
-        for d in range(1, order + 1):
-            arg = ps_from_dict(order, {d: _torus_block_weight(d)}, RATFUNC)
-            result = ps_mul(result, ps_exp(arg))
-        return result
+        return _exp_form(order, range(1, 2))
     if form == FORM_SUM:
         entries = {}
         for d in range(0, order + 1):
@@ -323,16 +321,12 @@ def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeries:
     """The repeated-block factor of the census generating function.
 
-    exp form:      prod_{m>=2, d} exp(t^(dm) / (d (1-q^-d)^2 q^(2dm-d)))  [RATFUNC]
+    exp form:      exp(sum_{m>=2, d} t^(dm) / N(d, m)),
+                   N(d, m) = d (q^d - 1)^2 q^(d(2m-3))                   [RATFUNC]
     product form:  prod_{m>=2, i,j>=0} (1 - q^-(i+j+2m-1) t^m)^-1         [USERIES]
     """
     if form == FORM_EXP:
-        result = ps_one(order, RATFUNC)
-        for m in range(2, order + 1):
-            for d in range(1, order // m + 1):
-                arg = ps_from_dict(order, {d * m: _repeated_block_weight(d, m)}, RATFUNC)
-                result = ps_mul(result, ps_exp(arg))
-        return result
+        return _exp_form(order, range(2, order + 1))
     if form == FORM_PRODUCT:
         ring = USeriesRing(u_order)
         result = ps_one(order, ring)
@@ -350,5 +344,6 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 
 
 def build_fbar(order: int) -> PowerSeries:
-    """Full census generating function; the t^n coefficient is b_n."""
-    return ps_mul(build_f1(order, FORM_EXP), build_f2(order, FORM_EXP))
+    """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)) with
+    one ps_exp over all blocks; the t^n coefficient is b_n."""
+    return _exp_form(order, range(1, order + 1))

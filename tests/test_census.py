@@ -10,7 +10,6 @@ from glcensus.census import (
     UnsupportedRegimeError,
     a_polynomial,
     b_coefficient,
-    census_row,
     class_sum,
     enumerate_phi,
     gl_order,
@@ -203,7 +202,7 @@ def test_stabilized_prefix():
 
 
 def test_census_row():
-    row = census_row(3)
-    assert row.class_count == 5
-    assert row.a_poly == a_polynomial(3)
-    assert row.b_n == b_coefficient(3)
+    # one census row is the class count, b_n and a_n = b_n |GL_n|
+    assert phi_count(3) == 5
+    assert a_polynomial(3) == P([-1, -1, 1, 3, 3, 1, 1])
+    assert b_coefficient(3) == make_rf(a_polynomial(3), gl_order(3))

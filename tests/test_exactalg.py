@@ -1,23 +1,22 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glcensus.census import gl_order
 from glcensus.exactalg import (
     ONE_POLY,
     PoleError,
     IntPolynomial,
-    RationalFunction,
     make_rf,
-    phi_d,
     poly_from_json,
     poly_gcd,
     poly_to_json,
-    rf_arith,
-    rf_eval,
     rf_from_fraction,
     rf_from_json,
+    rf_from_poly,
     rf_to_json,
 )
 
@@ -30,60 +29,75 @@ def rf(num, den=(1,)):
 
 def test_add_common_denominator_identity():
     # 1/(q-1) + 1/(q+1) = 2q/(q^2-1)
-    lhs = rf_arith(rf([1], [-1, 1]), rf([1], [1, 1]), "add")
+    lhs = rf([1], [-1, 1]) + rf([1], [1, 1])
     assert lhs == rf([0, 2], [-1, 0, 1])
 
 
 def test_mul_factorisation_identity():
     # (q^2+q+1)(q-1) = q^3-1
-    assert rf_arith(rf([1, 1, 1]), rf([-1, 1]), "mul") == rf([-1, 0, 0, 1])
+    assert rf([1, 1, 1]) * rf([-1, 1]) == rf([-1, 0, 0, 1])
 
 
 def test_div_exact_cancellation():
-    assert rf_arith(rf([-1, 0, 0, 1]), rf([-1, 1]), "div") == rf([1, 1, 1])
+    assert rf([-1, 0, 0, 1]) / rf([-1, 1]) == rf([1, 1, 1])
 
 
 def test_div_by_zero_rf():
     with pytest.raises(ZeroDivisionError):
-        rf_arith(rf([1]), rf([0]), "div")
+        rf([1]) / rf([0])
 
 
 def test_eval_quadratic_at_3_and_5():
     f = rf([1, 1, 1])
-    assert rf_eval(f, 3) == 13
-    assert rf_eval(f, 5) == 31
+    assert f.eval(3) == 13
+    assert f.eval(5) == 31
 
 
 def test_eval_at_pole():
     f = rf([1], [-1, 1])
     with pytest.raises(PoleError):
-        rf_eval(f, 1)
+        f.eval(1)
+
+
+def phi_product(d: int):
+    """(1 - q^-1)(1 - q^-2)...(1 - q^-d), multiplied out one factor at a time."""
+    out = rf([1])
+    for i in range(1, d + 1):
+        out = out * (rf([1]) - rf([1], [0] * i + [1]))
+    return out
+
+
+def phi_closed(d: int):
+    """The same product as prod_{i<=d} (q^i - 1) / q^(d(d+1)/2)."""
+    num = ONE_POLY
+    for i in range(1, d + 1):
+        num = num * P([-1] + [0] * (i - 1) + [1])
+    return make_rf(num, ONE_POLY.shift_up(d * (d + 1) // 2))
 
 
 def test_phi_d_small():
-    assert phi_d(0) == rf([1])
-    assert phi_d(1) == rf([-1, 1], [0, 1])
+    assert phi_product(0) == phi_closed(0) == rf([1])
+    assert phi_product(1) == phi_closed(1) == rf([-1, 1], [0, 1])
     # (q-1)(q^2-1)/q^3
-    expected = rf_arith(rf([-1, 1], [0, 1]), rf([-1, 0, 1], [0, 0, 1]), "mul")
-    assert phi_d(2) == expected
+    expected = rf([-1, 1], [0, 1]) * rf([-1, 0, 1], [0, 0, 1])
+    assert phi_product(2) == phi_closed(2) == expected
 
 
 def test_phi_recurrence():
     for d in range(1, 8):
         step = rf([1]) - rf([1], [0] * d + [1])
-        assert phi_d(d) == phi_d(d - 1) * step
+        assert phi_closed(d) == phi_closed(d - 1) * step == phi_product(d)
 
 
 def test_gl_order_two_routes():
-    # q^(n(n-1)/2) * prod(q^i - 1) == q^(n^2) * phi_n(1/q) as rational functions
+    # q^(n(n-1)/2) * prod(q^i - 1) == q^(n^2) * phi_n(1/q) == |GL_n(q)|
     for n in range(7):
-        lhs = rf([1], [1]).num  # placeholder; build product directly
         prod = rf([1])
         for i in range(1, n + 1):
             prod = prod * rf([-1] + [0] * (i - 1) + [1])
         lhs = rf([0] * (n * (n - 1) // 2) + [1]) * prod
-        rhs = rf([0] * (n * n) + [1]) * phi_d(n)
-        assert lhs == rhs
+        rhs = rf([0] * (n * n) + [1]) * phi_product(n)
+        assert lhs == rhs == rf_from_poly(gl_order(n))
 
 
 def test_json_roundtrip():
@@ -132,15 +146,14 @@ def test_canonical_form_unique(a, b, c, d):
 def test_eval_commutes_with_arith(a, b, c, d, q0):
     x = make_rf(a, b)
     y = make_rf(c, d)
-    for op, fn in [("add", lambda u, v: u + v), ("sub", lambda u, v: u - v), ("mul", lambda u, v: u * v)]:
-        combined = rf_arith(x, y, op)
+    for op in (operator.add, operator.sub, operator.mul):
         try:
-            lhs = rf_eval(combined, q0)
-            vx = rf_eval(x, q0)
-            vy = rf_eval(y, q0)
+            lhs = op(x, y).eval(q0)
+            vx = x.eval(q0)
+            vy = y.eval(q0)
         except PoleError:
             continue
-        assert lhs == fn(vx, vy)
+        assert lhs == op(vx, vy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +166,7 @@ def test_poly_gcd_divides_and_is_maximal(a, b, g):
 
 def test_rf_from_fraction():
     assert rf_from_fraction(Fraction(3, 4)) == rf([3], [4])
-    assert rf_eval(rf_from_fraction(Fraction(-2, 7)), 10) == Fraction(-2, 7)
+    assert rf_from_fraction(Fraction(-2, 7)).eval(10) == Fraction(-2, 7)
 
 
 def fraction_divmod(a: IntPolynomial, b: IntPolynomial):

@@ -141,7 +141,7 @@ def test_fbar_times_group_order_is_monic_polynomial():
     for n in range(1, 13):
         product = fbar[n] * rf_from_poly(gl_order(n))
         assert product.is_polynomial, f"n={n}"
-        poly = product.as_polynomial()
+        poly = product.num
         assert poly.degree == n * n - n and poly.leading == 1
 
 
@@ -177,3 +177,60 @@ def test_exp_is_additive(acoeffs, bcoeffs):
     a = ps_from_dict(order, dict(enumerate(acoeffs, start=1)))
     b = ps_from_dict(order, dict(enumerate(bcoeffs, start=1)))
     assert ps_exp(a + b).coeffs == ps_mul(ps_exp(a), ps_exp(b)).coeffs
+
+
+def power_sum_exp(a: PowerSeries) -> PowerSeries:
+    """The former ps_exp, sum_k a^k / k!, kept as the reference for the recurrence."""
+    ring = a.ring
+    result = ps_one(a.order, ring)
+    term = ps_one(a.order, ring)
+    for k in range(1, a.order + 1):
+        term = ps_mul(term, a)
+        inv_k = ring.from_fraction(Fraction(1, k))
+        term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), ring)
+        result = result + term
+    return result
+
+
+small_ucoeffs = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=4, max_size=4
+).map(lambda cs: UCoeff(3, tuple(cs)))
+
+
+@st.composite
+def exp_arguments(draw):
+    """A series with zero constant term over RATFUNC or USERIES, with gaps."""
+    order = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        ring, coeff = RATFUNC, small_rfs
+    else:
+        ring, coeff = USeriesRing(3), small_ucoeffs
+    entries = {k: draw(coeff) for k in range(1, order + 1) if draw(st.booleans())}
+    return ps_from_dict(order, entries, ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exp_arguments())
+def test_ps_exp_matches_power_sum_reference(a):
+    assert ps_exp(a).coeffs == power_sum_exp(a).coeffs
+
+
+def per_block_product(order: int, multiplicities: range) -> PowerSeries:
+    """The former exp forms: one power-sum exp per block (d, m), multiplied,
+    with the block weights 1/N(d, m) written out here independently."""
+    result = ps_one(order)
+    for m in multiplicities:
+        for d in range(1, order // m + 1):
+            qd_minus_1 = P([-1] + [0] * (d - 1) + [1])
+            if m == 1:
+                weight = make_rf(P([1]), qd_minus_1.scale(d))
+            else:
+                weight = make_rf(P([1]), (qd_minus_1 * qd_minus_1).scale(d).shift_up(d * (2 * m - 3)))
+            result = ps_mul(result, power_sum_exp(ps_from_dict(order, {d * m: weight})))
+    return result
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_exp_forms_match_per_block_product(order):
+    assert build_f1(order, FORM_EXP).coeffs == per_block_product(order, range(1, 2)).coeffs
+    assert build_f2(order, FORM_EXP).coeffs == per_block_product(order, range(2, order + 1)).coeffs
