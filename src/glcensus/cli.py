@@ -110,8 +110,17 @@ def cmd_series(args) -> int:
 # --- limit -------------------------------------------------------------------
 
 
+def _limit_q(text: str) -> Fraction:
+    """The rational --q of both limit commands; a zero denominator is a
+    ValueError, like any other malformed rational."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--q {text} has a zero denominator") from None
+
+
 def cmd_limit_lq(args) -> int:
-    q = Fraction(args.q)
+    q = _limit_q(args.q)
     iv = asympt.l_of_q(q, args.terms)
     _emit({
         "q": str(q),
@@ -125,7 +134,7 @@ def cmd_limit_lq(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    q = Fraction(args.q)
+    q = _limit_q(args.q)
     report = asympt.check_estimates(q, args.terms)
     _emit({
         "q": str(q),

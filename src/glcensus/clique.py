@@ -4,16 +4,22 @@ The graph has one vertex per non-central group element, with an edge exactly
 when the two elements do not commute; its clique number equals the largest
 pairwise non-commuting subset of the group (central elements never extend a
 clique of size two or more, and the one-vertex case is the abelian group,
-where the answer is 1).
+where the answer is 1).  Both the graph and the seed check read one table,
+``GLGroup.commuting``, over the lifted group elements: the adjacency is its
+negation, and the seed is pairwise non-commuting when the table is false off
+the diagonal.
 
 The solver is a branch-and-bound over bitset adjacency rows with greedy
-colouring bounds, seeded with the pairwise non-commuting set built from one
-cyclic matrix per distinct cyclic-matrix centralizer.  Whenever that seed
-already meets the covering upper bound (one count per covering abelian
-subgroup), no search happens at all: lower bound equals upper bound.  A
-finished search, or a met bound, is the only way `optimal` is ever reported
-True; exhausting the time or step budget returns the best clique found with
-`optimal=False`, never a wrong certificate.
+colouring bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et
+al. 2011), run as one loop over an explicit stack, so no graph is too deep
+for it; the time budget is checked at every node.  It is seeded with the
+pairwise non-commuting set built from one cyclic matrix per distinct
+cyclic-matrix centralizer.  Whenever that seed already meets the covering
+upper bound (one count per covering abelian subgroup), no search happens at
+all: lower bound equals upper bound.  A finished search, or a met bound, is
+the only way `optimal` is ever reported True; exhausting the time or step
+budget returns the best clique found with `optimal=False`, never a wrong
+certificate.
 """
 
 from __future__ import annotations
@@ -86,19 +92,9 @@ def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     group = gl_group(n, q, budget)
     central = set(group.center_indices())
     verts = [i for i in range(group.order) if i not in central]
-    pos = {element: k for k, element in enumerate(verts)}
     V = len(verts)
-    # boolean adjacency, one commuting scan per vertex
-    adj = np.zeros((V, V), dtype=bool)
-    for k, element in enumerate(verts):
-        commuting = group.commuting_indices(group.mats[element])
-        row = np.ones(V, dtype=bool)
-        for j in commuting:
-            p = pos.get(j)
-            if p is not None:
-                row[p] = False
-        row[k] = False
-        adj[k] = row
+    lifted = group.lifted[verts]
+    adj = ~group.commuting(lifted, lifted)
     order = _degeneracy_order(adj)
     verts_ordered = tuple(verts[k] for k in order)
     adj_ordered = adj[np.ix_(order, order)]
@@ -113,10 +109,9 @@ def _degeneracy_order(adj: np.ndarray) -> list[int]:
     puts small degrees last, ties broken by vertex number for determinism."""
     V = adj.shape[0]
     alive = np.ones(V, dtype=bool)
-    degrees = adj.sum(axis=1).astype(np.int64)
+    work = adj.sum(axis=1).astype(np.int64)
     removal: list[int] = []
     big = np.iinfo(np.int64).max
-    work = degrees.copy()
     for _ in range(V):
         v = int(np.argmin(np.where(alive, work, big)))
         removal.append(v)
@@ -145,13 +140,9 @@ def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]
 
 def _pairwise_noncommuting(group: GLGroup, indices) -> bool:
     sel = group.lifted[list(indices)]
-    for start, left, right in group.products(sel, sel):
-        commute = (left == right).all(axis=(2, 3))
-        rows = np.arange(len(commute))
-        commute[rows, start + rows] = False
-        if commute.any():
-            return False
-    return True
+    commute = group.commuting(sel, sel)
+    np.fill_diagonal(commute, False)
+    return not commute.any()
 
 
 def covering_upper_bound(n: int, q: int) -> int:
@@ -185,8 +176,24 @@ def verify_clique(graph: NonComGraph, witness) -> bool:
     return True
 
 
-class _SearchBudgetExhausted(Exception):
-    pass
+def _colour_order(P: int, adjacency) -> tuple[list[int], list[int]]:
+    """Greedy sequential colouring of the candidate set P: the vertices in
+    colour order, each with its colour number, an upper bound on the size
+    of any clique among it and the vertices before it."""
+    order: list[int] = []
+    bounds: list[int] = []
+    colour = 0
+    while P:
+        colour += 1
+        cand = P
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            bit = 1 << v
+            cand &= ~adjacency[v] & ~bit
+            P &= ~bit
+            order.append(v)
+            bounds.append(colour)
+    return order, bounds
 
 
 def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
@@ -197,6 +204,13 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
     the starting incumbent.  If ``upper`` is supplied and the seed meets it,
     the result is certified without branching.  A finished search certifies
     optimality; running out of budget returns the incumbent, unmarked.
+
+    The search is one loop over an explicit stack, so its depth is bounded
+    only by memory, never by the interpreter's recursion limit.  Each frame
+    is an open node [colour order, colour bounds, next position, candidate
+    set]; its branches are taken from the highest colour down, and the node
+    closes when the next bound cannot beat the incumbent.  Opening a node is
+    one step, and both budgets are checked there, at every node.
     """
     budget = budget if budget is not None else SolverBudget()
     start = time.monotonic()
@@ -209,82 +223,53 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
                             upper_bound_used=upper, steps=0,
                             seconds=time.monotonic() - start)
 
-    seed_positions = [graph.position_of(e) for e in seed]
-    best_size = len(seed_positions)
-    best = list(seed_positions)
-    if upper is not None and best_size == upper:
-        return CliqueResult(size=best_size, witness=tuple(sorted(seed)), optimal=True,
+    best = [graph.position_of(e) for e in seed]
+    if upper is not None and len(best) == upper:
+        return CliqueResult(size=len(best), witness=tuple(sorted(seed)), optimal=True,
                             upper_bound_used=upper, steps=0,
                             seconds=time.monotonic() - start)
 
     adjacency = graph.adjacency
-    V = graph.vertex_count
+    best = best or [0]
     steps = 0
-    state = {"best_size": max(best_size, 1), "best": best or [0]}
-    if not seed:
-        state["best"] = [0]
-        state["best_size"] = 1
-
-    def colour_order(P: int) -> tuple[list[int], list[int]]:
-        order: list[int] = []
-        bounds: list[int] = []
-        colour = 0
-        Q = P
-        while Q:
-            colour += 1
-            cand = Q
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                bit = 1 << v
-                cand &= ~adjacency[v]
-                cand &= ~bit
-                Q &= ~bit
-                order.append(v)
-                bounds.append(colour)
-        return order, bounds
-
-    def expand(R: list[int], P: int) -> None:
-        nonlocal steps
-        steps += 1
-        if steps % 2048 == 0 and time.monotonic() - start > budget.seconds:
-            raise _SearchBudgetExhausted
-        if steps > budget.steps:
-            raise _SearchBudgetExhausted
-        order, bounds = colour_order(P)
-        for k in range(len(order) - 1, -1, -1):
-            if len(R) + bounds[k] <= state["best_size"]:
-                return
-            v = order[k]
-            R.append(v)
-            nxt = P & adjacency[v]
-            if nxt:
-                expand(R, nxt)
-            elif len(R) > state["best_size"]:
-                state["best_size"] = len(R)
-                state["best"] = list(R)
-                if upper is not None and state["best_size"] == upper:
-                    raise _StopSearchOptimal
-            R.pop()
-            if upper is not None and state["best_size"] == upper:
-                raise _StopSearchOptimal
-            P &= ~(1 << v)
-
-    class _StopSearchOptimal(Exception):
-        pass
-
-    full = (1 << V) - 1
     optimal = True
-    try:
-        expand([], full)
-    except _SearchBudgetExhausted:
-        optimal = False
-    except _StopSearchOptimal:
-        optimal = True
+    R: list[int] = []  # the clique on the current branch, one vertex per frame below the top
+    stack: list[list] = []
+    nxt = (1 << graph.vertex_count) - 1
+    while True:
+        if nxt:
+            steps += 1
+            if steps > budget.steps or time.monotonic() - start > budget.seconds:
+                optimal = False
+                break
+            order, bounds = _colour_order(nxt, adjacency)
+            stack.append([order, bounds, len(order) - 1, nxt])
+            nxt = 0
+        frame = stack[-1]
+        order, bounds, k, P = frame
+        if k >= 0 and len(R) + bounds[k] > len(best):
+            R.append(order[k])
+            nxt = P & adjacency[order[k]]
+            if nxt:
+                continue
+            if len(R) > len(best):
+                best = list(R)
+        else:
+            stack.pop()
+            if not stack:
+                break
+            frame = stack[-1]
+        # the branch on R[-1] is finished: drop it from the frame that took it
+        v = R.pop()
+        if upper is not None and len(best) == upper:
+            break
+        frame[2] -= 1
+        frame[3] &= ~(1 << v)
 
-    witness_elements = tuple(sorted(graph.vertices[p] for p in state["best"]))
+    witness_elements = tuple(sorted(graph.vertices[p] for p in best))
     if not verify_clique(graph, witness_elements):
         raise AssertionError("solver produced a non-clique witness")
-    return CliqueResult(size=state["best_size"], witness=witness_elements,
+    return CliqueResult(size=len(best), witness=witness_elements,
                         optimal=optimal, upper_bound_used=upper, steps=steps,
                         seconds=time.monotonic() - start)
 

@@ -5,9 +5,12 @@ field with q = p^e elements: matrices are tuples of field-element encodings,
 invertibility is Gaussian elimination, centralizers are full scans of the
 group, and minimal polynomials come from the first linear dependency among
 the powers of a matrix.  Field elements are encoded as integers 0..q-1 (the
-base-p digit vector of the residue polynomial); the field modulus is the
-lexicographically least monic irreducible of the right degree, so every
-enumeration order is reproducible.
+base-p digit vector of the residue polynomial), so every enumeration order is
+reproducible.  F_q is built once, from the prime field: F_p has tables mod p,
+and for e > 1 F_q is F_p[t]/(f), its tables computed with the same
+polynomial helpers (``fqpoly_*``) over F_p that the rest of the module uses
+over F_q.  The modulus f is the least monic irreducible of degree e in
+encoding order.
 
 The scans run in numpy on one representation for every q.  Each field
 element a is replaced by the e x e matrix over F_p of multiplication by a on
@@ -34,8 +37,7 @@ equivalent and are not used here.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,48 +69,16 @@ DEFAULT_BUDGET = Budget()
 # ---------------------------------------------------------------------------
 # finite fields
 #
-# Polynomials over F_p (and over F_q) are ascending coefficient tuples.
-
-
-def _pf_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pf_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] * inv_lb % p
-        if c:
-            quo[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] = (a[i + j] - c * bc) % p
-    return _pf_trim(quo), _pf_trim(a)
-
-
-def _pf_is_irreducible(f, p) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            g = tail + (1,)
-            if not _pf_divmod(f, g, p)[1]:
-                return False
-    return True
+# Polynomials over F_q are ascending coefficient tuples.
 
 
 class Fq:
-    """The field with q = p^e elements, with dense add/mul/inv tables.
+    """The field with q = p^e elements, with dense add/mul/neg/inv tables.
 
-    Elements are integers 0..q-1 encoding base-p digit vectors.  Addition of
-    encodings is digit-wise mod p; multiplication reduces modulo the fixed
-    irreducible modulus.
+    Elements are integers 0..q-1 encoding base-p digit vectors, and addition
+    is digit-wise mod p.  Products are taken mod p in the prime field; for
+    e > 1 they are polynomial products over F_p reduced modulo f, the least
+    monic irreducible of degree e in encoding order.
     """
 
     def __init__(self, q: int):
@@ -116,66 +86,27 @@ class Fq:
         self.q = q
         self.p = p
         self.e = e
-        self.modulus = self._least_irreducible_modulus()
-        self._build_tables()
-
-    def _least_irreducible_modulus(self) -> tuple[int, ...]:
-        p, e = self.p, self.e
+        digits = [self._digits(a) for a in range(q)]
+        add = [[self._encode((x + y) % p for x, y in zip(da, db)) for db in digits]
+               for da in digits]
         if e == 1:
-            return (0, 1)
-        for enc in range(p**e):
-            low = self._decode(enc)
-            f = tuple(low) + (0,) * (e - len(low)) + (1,)
-            if _pf_is_irreducible(f, p):
-                return f
-        raise AssertionError("no irreducible modulus found")
+            self.modulus = (0, 1)
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+        else:
+            base = get_field(p)
+            self.modulus = next(d + (1,) for d in digits if fqpoly_is_irreducible(base, d + (1,)))
+            mul = [[self._encode(fqpoly_divmod(base, fqpoly_mul(base, da, db), self.modulus)[1])
+                    for db in digits] for da in digits]
+        self.add_table = tuple(map(tuple, add))
+        self.mul_table = tuple(map(tuple, mul))
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
+        self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
 
-    def _decode(self, enc: int) -> list[int]:
-        digits = []
-        while enc:
-            enc, r = divmod(enc, self.p)
-            digits.append(r)
-        return digits
+    def _digits(self, enc: int) -> tuple[int, ...]:
+        return tuple(enc // self.p**i % self.p for i in range(self.e))
 
     def _encode(self, digits) -> int:
-        enc = 0
-        for d in reversed(list(digits)):
-            enc = enc * self.p + d
-        return enc
-
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = self._decode(a)
-            for b in range(a, q):
-                db = self._decode(b)
-                s = [0] * max(len(da), len(db))
-                for i, c in enumerate(da):
-                    s[i] = c
-                for i, c in enumerate(db):
-                    s[i] = (s[i] + c) % p
-                add[a][b] = add[b][a] = self._encode(s)
-                prod = [0] * (len(da) + len(db) - 1 or 1)
-                for i, ca in enumerate(da):
-                    if ca:
-                        for j, cb in enumerate(db):
-                            prod[i + j] = (prod[i + j] + ca * cb) % p
-                _, rem = _pf_divmod(tuple(prod), self.modulus, p)
-                mul[a][b] = mul[b][a] = self._encode(rem)
-        self.add_table = tuple(tuple(r) for r in add)
-        self.mul_table = tuple(tuple(r) for r in mul)
-        neg = [0] * q
-        inv = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add_table[a][b] == 0:
-                    neg[a] = b
-                if a and self.mul_table[a][b] == 1:
-                    inv[a] = b
-        self.neg_table = tuple(neg)
-        self.inv_table = tuple(inv)
+        return sum(d * self.p**i for i, d in enumerate(digits))
 
     # element operations
     def add(self, a: int, b: int) -> int:
@@ -361,13 +292,6 @@ class FqMatrix:
                     m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
         return FqMatrix(F, tuple(tuple(row[n:]) for row in m))
 
-    def encode(self) -> int:
-        enc = 0
-        for row in self.rows:
-            for x in row:
-                enc = enc * self.field.q + x
-        return enc
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
@@ -378,7 +302,7 @@ def matrix_from_flat(field: Fq, n: int, entries) -> FqMatrix:
 
 
 # ---------------------------------------------------------------------------
-# minimal and characteristic polynomials
+# minimal polynomials
 
 
 def _vec(M: FqMatrix) -> tuple[int, ...]:
@@ -411,42 +335,6 @@ def min_poly(M: FqMatrix) -> tuple[int, ...]:
         basis.append((pivot, vec, combo))
         power = power @ M
     raise AssertionError("no dependency among n+1 matrix powers")
-
-
-def char_poly(M: FqMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(tI - M), ascending, by the
-    division-free principal-minor recursion (Berkowitz)."""
-    F = M.field
-    n = M.n
-    rows = M.rows
-    # p holds det(tI - A_r) for the leading r x r block, descending degrees
-    p = [1, F.neg(rows[0][0])]
-    for r in range(2, n + 1):
-        a = rows[r - 1][r - 1]
-        row = [rows[r - 1][j] for j in range(r - 1)]
-        col = [rows[i][r - 1] for i in range(r - 1)]
-        q_vec = [1, F.neg(a)]
-        vec = col
-        for _ in range(r - 1):
-            acc = 0
-            for x, y in zip(row, vec):
-                acc = F.add(acc, F.mul(x, y))
-            q_vec.append(F.neg(acc))
-            nxt = []
-            for i in range(r - 1):
-                s = 0
-                for k in range(r - 1):
-                    s = F.add(s, F.mul(rows[i][k], vec[k]))
-                nxt.append(s)
-            vec = nxt
-        new_p = [0] * (r + 1)
-        for i, qi in enumerate(q_vec):
-            if qi and i <= r:
-                for j, pj in enumerate(p):
-                    if pj and i + j <= r:
-                        new_p[i + j] = F.add(new_p[i + j], F.mul(qi, pj))
-        p = new_p
-    return tuple(reversed(p))
 
 
 def is_cyclic(M: FqMatrix) -> bool:
@@ -546,8 +434,9 @@ class GLGroup:
         return self._lifted
 
     def codes(self, lifted: np.ndarray) -> np.ndarray:
-        """The FqMatrix.encode value of each reduced lifted matrix in a stack,
-        read from column 0 of every e x e block."""
+        """One integer per reduced lifted matrix in a stack: its n^2 F_q
+        entries, read from column 0 of every e x e block, as base-q digits in
+        row-major order (the group's enumeration order is ascending codes)."""
         n, e = self.n, self.field.e
         digits = lifted.reshape(lifted.shape[:-2] + (n, e, n, e))[..., 0]
         return digits.reshape(lifted.shape[:-2] + (-1,)) @ self._weights
@@ -572,13 +461,17 @@ class GLGroup:
             self._cyclic = tuple(is_cyclic(M) for M in self.mats)
         return self._cyclic
 
+    def commuting(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Bool table over two lifted stacks: entry (i, j) is X_i S_j == S_j X_i."""
+        table = np.empty((len(X), len(S)), dtype=bool)
+        for start, left, right in self.products(X, S):
+            table[start:start + len(left)] = (left == right).all(axis=(2, 3))
+        return table
+
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
         """Indices of every group element commuting with M (full scan)."""
-        A = self.lifted
-        B = self.lift(M.rows)
-        p = self.field.p
-        mask = (A @ B % p == B @ A % p).all(axis=(1, 2))
-        return tuple(int(i) for i in np.flatnonzero(mask))
+        column = self.commuting(self.lifted, self.lift([M.rows]))[:, 0]
+        return tuple(int(i) for i in np.flatnonzero(column))
 
     def cyclic_centralizer_census(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(representatives, member sets) of all distinct centralizers of
@@ -637,11 +530,6 @@ def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None =
 def gl_group(n: int, q: int, budget: Budget | None = None) -> GLGroup:
     check_scan_budget(n, q, f"enumeration of GL_{n}({q})", 0, budget)
     return _gl_group_cached(n, q)
-
-
-def enumerate_gl(n: int, q: int, budget: Budget | None = None) -> tuple[FqMatrix, ...]:
-    """All invertible n x n matrices over F_q, lexicographic by entries."""
-    return gl_group(n, q, budget).mats
 
 
 def cyclic_proportion(n: int, q: int, budget: Budget | None = None) -> Fraction:

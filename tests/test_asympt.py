@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from glcensus.asympt import (
-    FAILS,
     HOLDS,
     INCONCLUSIVE,
     DivergenceError,

@@ -18,7 +18,7 @@ from glcensus.census import (
     phi_count,
     stabilized_prefix,
 )
-from glcensus.exactalg import IntPolynomial, make_rf, rf_from_fraction
+from glcensus.exactalg import IntPolynomial, make_rf
 
 P = IntPolynomial.from_coeffs
 

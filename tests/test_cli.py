@@ -52,6 +52,8 @@ def test_verify_fast_passes(capsys):
     ["oracle", "--n", "3", "--q", "4", "--task", "centralizer-count"],  # over budget
     ["oracle", "--n", "2", "--q", "2", "--task", "remark-matrix"],
     ["clique", "omega", "--n", "2", "--q", "3", "--budget", "10"],
+    ["limit", "lq", "--q", "1/0"],  # zero denominator
+    ["limit", "check", "--q", "1/0"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from glcensus.census import UnsupportedRegimeError
 from glcensus.clique import (
-    CliqueResult,
+    NonComGraph,
     _bits_from_bools,
     _pairwise_noncommuting,
     SolverBudget,
@@ -184,3 +186,131 @@ def test_bits_from_bools_matches_loop(length):
             rng.random(length) < 0.5]
     for row in rows:
         assert _bits_from_bools(row) == bits_by_loop(row)
+
+
+def complete_graph(size: int) -> NonComGraph:
+    full = (1 << size) - 1
+    return NonComGraph(n=0, q=0, vertices=tuple(range(size)),
+                       adjacency=tuple(full & ~(1 << v) for v in range(size)),
+                       identity_index=0)
+
+
+def test_deep_complete_graph_is_solved_optimally():
+    # every vertex opens one more node, so the search is 1500 frames deep,
+    # past the interpreter's default recursion limit
+    res = max_clique(complete_graph(1500))
+    assert res.size == 1500 and res.optimal
+    assert res.witness == tuple(range(1500))
+
+
+def test_zero_time_budget_stops_at_the_first_node():
+    graph = build_graph(2, 3)
+    res = max_clique(graph, budget=SolverBudget(seconds=0))
+    assert res.steps == 1 and not res.optimal
+    assert verify_clique(graph, res.witness)
+
+
+def recursive_max_clique(graph, seed=(), upper=None, budget=None):
+    """The former recursive branch and bound, kept as the reference for the
+    explicit-stack search: returns (size, steps, witness, optimal)."""
+    budget = budget if budget is not None else SolverBudget()
+    start = time.monotonic()
+    seed_positions = [graph.position_of(e) for e in seed]
+    if upper is not None and len(seed_positions) == upper:
+        return len(seed), 0, tuple(sorted(seed)), True
+    adjacency = graph.adjacency
+    steps = 0
+    state = {"best_size": max(len(seed_positions), 1), "best": seed_positions or [0]}
+
+    class Exhausted(Exception):
+        pass
+
+    class StopOptimal(Exception):
+        pass
+
+    def colour_order(P):
+        order, bounds, colour, Q = [], [], 0, P
+        while Q:
+            colour += 1
+            cand = Q
+            while cand:
+                v = (cand & -cand).bit_length() - 1
+                bit = 1 << v
+                cand &= ~adjacency[v]
+                cand &= ~bit
+                Q &= ~bit
+                order.append(v)
+                bounds.append(colour)
+        return order, bounds
+
+    def expand(R, P):
+        nonlocal steps
+        steps += 1
+        if steps % 2048 == 0 and time.monotonic() - start > budget.seconds:
+            raise Exhausted
+        if steps > budget.steps:
+            raise Exhausted
+        order, bounds = colour_order(P)
+        for k in range(len(order) - 1, -1, -1):
+            if len(R) + bounds[k] <= state["best_size"]:
+                return
+            v = order[k]
+            R.append(v)
+            nxt = P & adjacency[v]
+            if nxt:
+                expand(R, nxt)
+            elif len(R) > state["best_size"]:
+                state["best_size"] = len(R)
+                state["best"] = list(R)
+                if upper is not None and state["best_size"] == upper:
+                    raise StopOptimal
+            R.pop()
+            if upper is not None and state["best_size"] == upper:
+                raise StopOptimal
+            P &= ~(1 << v)
+
+    optimal = True
+    try:
+        expand([], (1 << graph.vertex_count) - 1)
+    except Exhausted:
+        optimal = False
+    except StopOptimal:
+        pass
+    witness = tuple(sorted(graph.vertices[p] for p in state["best"]))
+    return state["best_size"], steps, witness, optimal
+
+
+def random_graph(size: int, density: float, seed: int) -> NonComGraph:
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((size, size)) < density, 1)
+    adj = upper | upper.T
+    return NonComGraph(n=0, q=0, vertices=tuple(range(size)),
+                       adjacency=tuple(_bits_from_bools(row) for row in adj), identity_index=0)
+
+
+# The group graphs are the solver's real inputs, but each is solved in one
+# dive; the random graphs make the search backtrack through 790 to 2130 nodes.
+REFERENCE_GRAPHS = {
+    "GL_2(3)": lambda: build_graph(2, 3),
+    "GL_3(2)": lambda: build_graph(3, 2),
+    "GL_2(7)": lambda: build_graph(2, 7),
+    "G(120,0.5)": lambda: random_graph(120, 0.5, 1),
+    "G(90,0.7)": lambda: random_graph(90, 0.7, 2),
+    "G(200,0.3)": lambda: random_graph(200, 0.3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
+def test_stack_search_matches_recursive_reference(name):
+    graph = REFERENCE_GRAPHS[name]()
+    size, steps, clique, _ = recursive_max_clique(graph)
+    seed = seed_clique(graph.n, graph.q) if graph.n else clique
+    # the seed is a maximum clique, so its size serves as an upper bound
+    # that stops a search early
+    runs = [((), None, None), (seed, None, None), (clique[:2], None, None),
+            ((), None, SolverBudget(steps=3)), (seed, None, SolverBudget(steps=3)),
+            ((), None, SolverBudget(steps=steps // 2)), ((), size, None), (seed[:-1], size, None)]
+    for start, upper, budget in runs:
+        res = max_clique(graph, start, upper, budget)
+        expect = recursive_max_clique(graph, start, upper, budget)
+        assert (res.size, res.steps, res.witness, res.optimal) == expect, (start, upper, budget)

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from glcensus.census import a_polynomial, gl_order
@@ -11,10 +12,8 @@ from glcensus.oracle import (
     FqMatrix,
     _gl_group_cached,
     centralizer,
-    char_poly,
     count_cyclic_centralizers,
     cyclic_proportion,
-    enumerate_gl,
     fqpoly_pow,
     get_field,
     gl_group,
@@ -28,6 +27,59 @@ from glcensus.oracle import (
     regular_unipotent,
     wall_bound_terms,
 )
+
+
+# --- helpers only these tests use ---------------------------------------------
+
+
+def enumerate_gl(n: int, q: int, budget: Budget | None = None) -> tuple[FqMatrix, ...]:
+    """All invertible n x n matrices over F_q, lexicographic by entries."""
+    return gl_group(n, q, budget).mats
+
+
+def encode(M: FqMatrix) -> int:
+    """The entries of M as base-q digits in row-major order."""
+    enc = 0
+    for row in M.rows:
+        for x in row:
+            enc = enc * M.field.q + x
+    return enc
+
+
+def char_poly(M: FqMatrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(tI - M), ascending, by the
+    division-free principal-minor recursion (Berkowitz)."""
+    F = M.field
+    n = M.n
+    rows = M.rows
+    # p holds det(tI - A_r) for the leading r x r block, descending degrees
+    p = [1, F.neg(rows[0][0])]
+    for r in range(2, n + 1):
+        a = rows[r - 1][r - 1]
+        row = [rows[r - 1][j] for j in range(r - 1)]
+        col = [rows[i][r - 1] for i in range(r - 1)]
+        q_vec = [1, F.neg(a)]
+        vec = col
+        for _ in range(r - 1):
+            acc = 0
+            for x, y in zip(row, vec):
+                acc = F.add(acc, F.mul(x, y))
+            q_vec.append(F.neg(acc))
+            nxt = []
+            for i in range(r - 1):
+                s = 0
+                for k in range(r - 1):
+                    s = F.add(s, F.mul(rows[i][k], vec[k]))
+                nxt.append(s)
+            vec = nxt
+        new_p = [0] * (r + 1)
+        for i, qi in enumerate(q_vec):
+            if qi and i <= r:
+                for j, pj in enumerate(p):
+                    if pj and i + j <= r:
+                        new_p[i + j] = F.add(new_p[i + j], F.mul(qi, pj))
+        p = new_p
+    return tuple(reversed(p))
 
 
 # --- fields -----------------------------------------------------------------
@@ -60,6 +112,78 @@ def test_non_prime_power_rejected():
         get_field(6)
 
 
+def reference_field_tables(q: int):
+    """The former construction of F_q, kept as the reference: its own
+    polynomial division and trial-division irreducibility test mod p, and a
+    hand-written product loop.  Returns (modulus, add, mul, neg, inv)."""
+    F = get_field(q)
+    p, e = F.p, F.e
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    def pf_divmod(a, b):
+        a = list(a)
+        db, inv_lb = len(b) - 1, pow(b[-1], p - 2, p)
+        quo = [0] * max(len(a) - db, 0)
+        for i in range(len(a) - db - 1, -1, -1):
+            c = a[i + db] * inv_lb % p
+            if c:
+                quo[i] = c
+                for j, bc in enumerate(b):
+                    a[i + j] = (a[i + j] - c * bc) % p
+        return trim(quo), trim(a)
+
+    def is_irreducible(f):
+        return all(pf_divmod(f, tail + (1,))[1]
+                   for deg in range(1, (len(f) - 1) // 2 + 1)
+                   for tail in itertools.product(range(p), repeat=deg))
+
+    def decode(enc):
+        digits = []
+        while enc:
+            enc, r = divmod(enc, p)
+            digits.append(r)
+        return digits
+
+    def to_enc(digits):
+        return sum(d * p**i for i, d in enumerate(digits))
+
+    modulus = next(f for f in (tuple(decode(enc)) + (0,) * (e - len(decode(enc))) + (1,)
+                               for enc in range(q)) if is_irreducible(f))
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        da = decode(a)
+        for b in range(a, q):
+            db = decode(b)
+            s = da + [0] * (len(db) - len(da))
+            for i, c in enumerate(db):
+                s[i] = (s[i] + c) % p
+            add[a][b] = add[b][a] = to_enc(s)
+            prod = [0] * (len(da) + len(db) - 1 or 1)
+            for i, ca in enumerate(da):
+                for j, cb in enumerate(db):
+                    prod[i + j] = (prod[i + j] + ca * cb) % p
+            mul[a][b] = mul[b][a] = to_enc(pf_divmod(tuple(prod), modulus)[1])
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return modulus, add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_field_tables_match_reference_construction(q):
+    F = get_field(q)
+    modulus, add, mul, neg, inv = reference_field_tables(q)
+    assert F.modulus == modulus
+    assert [list(r) for r in F.add_table] == add
+    assert [list(r) for r in F.mul_table] == mul
+    assert list(F.neg_table) == neg
+    assert list(F.inv_table) == inv
+
+
 # --- enumeration ------------------------------------------------------------
 
 
@@ -72,7 +196,7 @@ def test_enumerate_counts():
 
 def test_enumerate_lex_order_and_budget():
     mats = enumerate_gl(2, 2)
-    encs = [M.encode() for M in mats]
+    encs = [encode(M) for M in mats]
     assert encs == sorted(encs)
     with pytest.raises(BudgetError) as err:
         enumerate_gl(4, 3, Budget(elements=10_000))
@@ -352,7 +476,7 @@ def test_center_indices():
 def test_lift_codes_roundtrip(q):
     group = gl_group(2, q)
     codes = group.codes(group.lifted)
-    assert codes.tolist() == [M.encode() for M in group.mats]
+    assert codes.tolist() == [encode(M) for M in group.mats]
     assert group.lifted.shape[1:] == (2 * group.field.e,) * 2
 
 
@@ -364,7 +488,7 @@ def test_lift_is_multiplicative(q):
     for A in sample:
         for B in sample[::3]:
             product = group.lift(A.rows) @ group.lift(B.rows) % p
-            assert int(group.codes(product)) == (A @ B).encode()
+            assert int(group.codes(product)) == encode(A @ B)
 
 
 def test_commuting_indices_matches_per_element_scan():
@@ -374,6 +498,19 @@ def test_commuting_indices_matches_per_element_scan():
     for M in list(group.mats[::23]) + [singular, FqMatrix.identity(F, 2)]:
         expect = tuple(i for i, H in enumerate(group.mats) if H.commutes_with(M))
         assert group.commuting_indices(M) == expect
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_commuting_table_matches_per_element(q):
+    group = gl_group(2, q)
+    mats = group.mats
+    expect = np.zeros((group.order, group.order), dtype=bool)
+    for i, A in enumerate(mats):
+        for j in range(i, group.order):
+            expect[i, j] = expect[j, i] = A.commutes_with(mats[j])
+    assert (group.commuting(group.lifted, group.lifted) == expect).all()
+    columns = list(range(0, group.order, 7))
+    assert (group.commuting(group.lifted, group.lifted[columns]) == expect[:, columns]).all()
 
 
 def test_normalizer_matches_conjugation_reference():
