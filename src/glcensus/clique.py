@@ -32,6 +32,7 @@ import numpy as np
 from glcensus.census import UnsupportedRegimeError, a_polynomial, omega_closed
 from glcensus.oracle import (
     Budget,
+    FqMatrix,
     GLGroup,
     check_scan_budget,
     count_cyclic_centralizers,
@@ -99,7 +100,7 @@ def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     verts_ordered = tuple(verts[k] for k in order)
     adj_ordered = adj[np.ix_(order, order)]
     rows = tuple(_bits_from_bools(adj_ordered[i]) for i in range(V))
-    identity_index = group.index_of(group.mats[0]) if group.order else 0
+    identity_index = group.index_of(FqMatrix.identity(group.field, n))
     return NonComGraph(n=n, q=q, vertices=verts_ordered, adjacency=rows,
                        identity_index=identity_index)
 

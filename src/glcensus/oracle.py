@@ -518,6 +518,8 @@ def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None =
     The task takes |GL_n(q)| * steps_per_element scan steps; the default is
     a pairwise scan, |GL_n(q)| steps per element.
     """
+    if n < 1:
+        raise ValueError(f"GL_n(q) needs n >= 1, got n = {n}")
     budget = budget if budget is not None else DEFAULT_BUDGET
     order = gl_order(n).eval_int(q)
     if order > budget.elements:

@@ -1,14 +1,8 @@
-"""Truncated formal power series in t over exact coefficient rings.
+"""Truncated formal power series in t, and the census generating function.
 
-Two coefficient rings are supported:
-
-  * RATFUNC: coefficients are reduced rational functions of q.  This is the
-    ring in which the census generating function and its factors have closed
-    per-coefficient forms.
-  * USERIES: coefficients are truncated series in u = 1/q with rational
-    coefficients (:class:`UCoeff`).  The infinite-product forms of the
-    generating functions only have finite descriptions here, because their
-    t-coefficients are infinite sums of powers of 1/q.
+Series arithmetic (ps_mul, ps_exp) runs in one coefficient ring, RATFUNC:
+reduced rational functions of q, the ring in which the census generating
+function and its factors have closed per-coefficient forms.
 
 The census generating function is fbar = exp(sum_{d,m} t^(dm) / N(d, m)),
 with N(d, m) = census.block_normalizer(d, m) the normaliser order of one
@@ -19,11 +13,17 @@ recurrence census runs at integer points.  f1 and f2 also have other,
 provably equal forms (closed sum, infinite product), and the builders below
 expose all of them so the equalities can be tested coefficient by
 coefficient.
+
+The infinite-product forms have finite descriptions only as series in
+u = 1/q.  They are products of factors (1 - u^s t^m)^(-e), so every
+u-coefficient is a nonnegative integer: each product form is one integer
+table built by shifts and adds, tagged USERIES, with one UCoeff record per
+t-coefficient.  rf_to_useries expands a RATFUNC coefficient in u for the
+comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,107 +51,36 @@ class RingMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the truncated u = 1/q coefficient ring
+# series
 
 
 @dataclass(frozen=True)
 class UCoeff:
-    """Polynomial in u truncated at degree u_order, coefficients rational."""
+    """One t-coefficient of a product form: the coefficients of u^0 ..
+    u^u_order, u = 1/q."""
 
     u_order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.u_order + 1:
             raise ValueError("coefficient list must have length u_order + 1")
 
-    @staticmethod
-    def zero(u_order: int) -> UCoeff:
-        return UCoeff(u_order, (Fraction(0),) * (u_order + 1))
-
-    @staticmethod
-    def from_fraction(u_order: int, x: Fraction) -> UCoeff:
-        return UCoeff(u_order, (Fraction(x),) + (Fraction(0),) * u_order)
-
-    @staticmethod
-    def monomial(u_order: int, degree: int, c: Fraction = Fraction(1)) -> UCoeff:
-        coeffs = [Fraction(0)] * (u_order + 1)
-        if degree <= u_order:
-            coeffs[degree] = Fraction(c)
-        return UCoeff(u_order, tuple(coeffs))
-
-    def _check(self, other: UCoeff) -> None:
-        if self.u_order != other.u_order:
-            raise RingMismatchError("u-series truncation orders differ")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: UCoeff) -> UCoeff:
-        self._check(other)
-        return UCoeff(self.u_order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: UCoeff) -> UCoeff:
-        self._check(other)
-        return UCoeff(self.u_order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: UCoeff) -> UCoeff:
-        self._check(other)
-        out = [Fraction(0)] * (self.u_order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(self.u_order + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return UCoeff(self.u_order, tuple(out))
-
-    def scale(self, x: Fraction) -> UCoeff:
-        return UCoeff(self.u_order, tuple(c * x for c in self.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# ring descriptors
-
 
 @dataclass(frozen=True)
 class RatFuncRing:
-    def zero(self) -> RationalFunction:
-        return RF_ZERO
-
-    def one(self) -> RationalFunction:
-        return RF_ONE
-
-    def from_fraction(self, x: Fraction) -> RationalFunction:
-        return rf_from_fraction(x)
-
-    def is_zero(self, c: RationalFunction) -> bool:
-        return c.is_zero
+    """Tag of a series whose coefficients are RationalFunctions."""
 
 
 @dataclass(frozen=True)
 class USeriesRing:
+    """Tag of a product form, whose coefficients are UCoeffs truncated at
+    u^u_order; no series arithmetic runs over it."""
+
     u_order: int
-
-    def zero(self) -> UCoeff:
-        return UCoeff.zero(self.u_order)
-
-    def one(self) -> UCoeff:
-        return UCoeff.from_fraction(self.u_order, Fraction(1))
-
-    def from_fraction(self, x: Fraction) -> UCoeff:
-        return UCoeff.from_fraction(self.u_order, x)
-
-    def is_zero(self, c: UCoeff) -> bool:
-        return c.is_zero
 
 
 RATFUNC = RatFuncRing()
-
-
-# ---------------------------------------------------------------------------
-# power series
 
 
 @dataclass(frozen=True)
@@ -166,69 +95,58 @@ class PowerSeries:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient list must have length order + 1")
 
-    def _check(self, other: PowerSeries) -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError("series live over different coefficient rings")
-        if self.order != other.order:
-            raise RingMismatchError("series have different truncation orders")
-
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        self._check(other)
-        return PowerSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.ring)
 
-    def __mul__(self, other: PowerSeries) -> PowerSeries:
-        return ps_mul(self, other)
-
-
-def ps_one(order: int, ring=RATFUNC) -> PowerSeries:
-    return PowerSeries(order, (ring.one(),) + tuple(ring.zero() for _ in range(order)), ring)
+def _require_ratfunc(*series: PowerSeries) -> None:
+    if any(s.ring != RATFUNC for s in series):
+        raise RingMismatchError("series arithmetic runs over rational functions only")
+    if len({s.order for s in series}) > 1:
+        raise RingMismatchError("series have different truncation orders")
 
 
-def ps_from_dict(order: int, entries: dict, ring=RATFUNC) -> PowerSeries:
-    coeffs = [ring.zero()] * (order + 1)
+def ps_from_dict(order: int, entries: dict) -> PowerSeries:
+    coeffs = [RF_ZERO] * (order + 1)
     for k, c in entries.items():
         if 0 <= k <= order:
             coeffs[k] = c
-    return PowerSeries(order, tuple(coeffs), ring)
+    return PowerSeries(order, tuple(coeffs), RATFUNC)
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at t^order; zero coefficients are skipped."""
-    a._check(b)
-    ring = a.ring
-    out = [ring.zero()] * (a.order + 1)
+    _require_ratfunc(a, b)
+    out = [RF_ZERO] * (a.order + 1)
     for i, ca in enumerate(a.coeffs):
-        if ring.is_zero(ca):
+        if ca.is_zero:
             continue
         for j in range(a.order + 1 - i):
             cb = b.coeffs[j]
-            if ring.is_zero(cb):
+            if cb.is_zero:
                 continue
             out[i + j] = out[i + j] + ca * cb
-    return PowerSeries(a.order, tuple(out), ring)
+    return PowerSeries(a.order, tuple(out), RATFUNC)
 
 
 def ps_exp(a: PowerSeries) -> PowerSeries:
-    """Exponential of a series with zero constant term, exact in its ring.
+    """Exponential of a series with zero constant term, exact in q.
 
     F = exp(a) satisfies F' = a' F, so F_0 = 1 and
-    j F_j = sum_{k=1..j} k a_k F_{j-k}: O(order^2) ring products.
+    j F_j = sum_{k=1..j} k a_k F_{j-k}: O(order^2) products.
     """
-    ring = a.ring
-    if not ring.is_zero(a.coeffs[0]):
+    _require_ratfunc(a)
+    if not a.coeffs[0].is_zero:
         raise ValueError("ps_exp requires a zero constant term")
-    k_a = [ring.from_fraction(Fraction(k)) * c for k, c in enumerate(a.coeffs)]
-    out = [ring.one()]
+    k_a = [rf_from_fraction(Fraction(k)) * c for k, c in enumerate(a.coeffs)]
+    out = [RF_ONE]
     for j in range(1, a.order + 1):
-        acc = ring.zero()
+        acc = RF_ZERO
         for k in range(1, j + 1):
-            if not ring.is_zero(k_a[k]) and not ring.is_zero(out[j - k]):
+            if not k_a[k].is_zero and not out[j - k].is_zero:
                 acc = acc + k_a[k] * out[j - k]
-        out.append(ring.from_fraction(Fraction(1, j)) * acc)
-    return PowerSeries(a.order, tuple(out), ring)
+        out.append(rf_from_fraction(Fraction(1, j)) * acc)
+    return PowerSeries(a.order, tuple(out), RATFUNC)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +160,7 @@ def rf_to_useries(f: RationalFunction, u_order: int) -> UCoeff:
     coefficients always satisfy this.
     """
     if f.is_zero:
-        return UCoeff.zero(u_order)
+        return UCoeff(u_order, (Fraction(0),) * (u_order + 1))
     dn, dd = f.num.degree, f.den.degree
     if dn > dd:
         raise PoleError("pole at u = 0: numerator degree exceeds denominator degree")
@@ -269,6 +187,11 @@ def rf_to_useries(f: RationalFunction, u_order: int) -> UCoeff:
 # the census generating function and its factors
 
 
+def _check_orders(order: int, u_order: int = 0) -> None:
+    if order < 0 or u_order < 0:
+        raise ValueError(f"truncation orders must be nonnegative (order {order}, u_order {u_order})")
+
+
 def _exp_form(order: int, multiplicities: range) -> PowerSeries:
     """exp(sum of t^(dm) / N(d, m) over the blocks with m in multiplicities)."""
     log = [RF_ZERO] * (order + 1)
@@ -278,16 +201,22 @@ def _exp_form(order: int, multiplicities: range) -> PowerSeries:
     return ps_exp(PowerSeries(order, tuple(log), RATFUNC))
 
 
-def _geometric_factor(order: int, ring: USeriesRing, t_step: int, u_step: int,
-                      exponent: int) -> PowerSeries:
-    """(1 - u^u_step * t^t_step)^(-exponent) truncated in both variables."""
-    entries = {}
-    for k in range(0, order // t_step + 1):
-        if k * u_step > ring.u_order and k > 0:
-            break
-        c = Fraction(math.comb(k + exponent - 1, k))
-        entries[k * t_step] = UCoeff.monomial(ring.u_order, k * u_step, c)
-    return ps_from_dict(order, entries, ring)
+def _product_form(order: int, u_order: int, factors) -> PowerSeries:
+    """prod (1 - u^s t^m)^(-e) over the (m, s, e) in factors, truncated at
+    t^order and u^u_order, as one integer table F[t-degree][u-degree].
+
+    Dividing by (1 - u^s t^m) is F_j += u^s F_(j-m) for ascending j, each
+    F_(j-m) already divided: a shift and an add.  So every coefficient is a
+    nonnegative int, and no series arithmetic runs.
+    """
+    table = [[0] * (u_order + 1) for _ in range(order + 1)]
+    table[0][0] = 1
+    for m, s, e in factors:
+        for _ in range(e):
+            for j in range(m, order + 1):
+                table[j][s:] = [a + b for a, b in zip(table[j][s:], table[j - m])]
+    return PowerSeries(order, tuple(UCoeff(u_order, tuple(row)) for row in table),
+                       USeriesRing(u_order))
 
 
 def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeries:
@@ -295,8 +224,10 @@ def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 
     exp form:      exp(sum_d t^d / N(d, 1)), N(d, 1) = d (q^d - 1)  [RATFUNC]
     sum form:      sum_d t^d * q^(d(d-1)/2) / prod_i (q^i - 1)       [RATFUNC]
-    product form:  prod_{i>=0} (1 - q^-(i+1) t)^-1                   [USERIES]
+    product form:  prod_{i>=0} (1 - q^-(i+1) t)^-1, an integer table
+                   in u = 1/q truncated at u^u_order                [USERIES]
     """
+    _check_orders(order, u_order)
     if form == FORM_EXP:
         return _exp_form(order, range(1, 2))
     if form == FORM_SUM:
@@ -307,14 +238,9 @@ def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
             for i in range(1, d + 1):
                 den = den * IntPolynomial((-1,) + (0,) * (i - 1) + (1,))
             entries[d] = make_rf(num, den)
-        return ps_from_dict(order, entries, RATFUNC)
+        return ps_from_dict(order, entries)
     if form == FORM_PRODUCT:
-        ring = USeriesRing(u_order)
-        result = ps_one(order, ring)
-        for i in range(0, u_order):
-            factor = _geometric_factor(order, ring, t_step=1, u_step=i + 1, exponent=1)
-            result = ps_mul(result, factor)
-        return result
+        return _product_form(order, u_order, [(1, s, 1) for s in range(1, u_order + 1)])
     raise ValueError(f"unknown form {form!r} for f1 (use exp, sum or product)")
 
 
@@ -323,21 +249,18 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 
     exp form:      exp(sum_{m>=2, d} t^(dm) / N(d, m)),
                    N(d, m) = d (q^d - 1)^2 q^(d(2m-3))                   [RATFUNC]
-    product form:  prod_{m>=2, i,j>=0} (1 - q^-(i+j+2m-1) t^m)^-1         [USERIES]
+    product form:  prod_{m>=2, i,j>=0} (1 - q^-(i+j+2m-1) t^m)^-1, an
+                   integer table in u = 1/q truncated at u^u_order       [USERIES]
     """
+    _check_orders(order, u_order)
     if form == FORM_EXP:
         return _exp_form(order, range(2, order + 1))
     if form == FORM_PRODUCT:
-        ring = USeriesRing(u_order)
-        result = ps_one(order, ring)
-        for m in range(2, order + 1):
-            # group the (i, j) pairs by s = i + j + 2m - 1; there are
-            # s - 2m + 2 pairs for each s
-            for s in range(2 * m - 1, u_order + 1):
-                factor = _geometric_factor(order, ring, t_step=m, u_step=s,
-                                           exponent=s - 2 * m + 2)
-                result = ps_mul(result, factor)
-        return result
+        # the s - 2m + 2 pairs (i, j) with i + j + 2m - 1 = s give one factor
+        # with exponent s - 2m + 2
+        return _product_form(order, u_order, [(m, s, s - 2 * m + 2)
+                                              for m in range(2, order + 1)
+                                              for s in range(2 * m - 1, u_order + 1)])
     if form == FORM_SUM:
         raise ValueError("f2 has no closed sum form")
     raise ValueError(f"unknown form {form!r} for f2 (use exp or product)")
@@ -346,4 +269,5 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 def build_fbar(order: int) -> PowerSeries:
     """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)) with
     one ps_exp over all blocks; the t^n coefficient is b_n."""
+    _check_orders(order)
     return _exp_form(order, range(1, order + 1))

@@ -36,6 +36,25 @@ def test_series_expand_fbar(capsys):
     assert payload["coefficients"] == [exactalg.rf_to_json(c) for c in qseries.build_fbar(3).coeffs]
 
 
+def test_series_expand_f2_product_payload(capsys):
+    code, out, _ = run_cli(capsys, "series", "expand", "--which", "f2", "--form", "product",
+                           "--order", "4", "--u-order", "8", "--json")
+    assert code == 0
+    rows = [
+        ["1", "0", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0", "0", "0"],
+        ["0", "0", "0", "1", "2", "3", "4", "5", "6"],
+        ["0", "0", "0", "0", "0", "1", "2", "3", "4"],
+        ["0", "0", "0", "0", "0", "0", "1", "3", "8"],
+    ]
+    assert json.loads(out) == {
+        "which": "f2",
+        "form": "product",
+        "order": 4,
+        "coefficients": [{"u_order": 8, "coeffs": row} for row in rows],
+    }
+
+
 def test_verify_fast_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast", "--json")
     assert code == 0
@@ -54,6 +73,13 @@ def test_verify_fast_passes(capsys):
     ["clique", "omega", "--n", "2", "--q", "3", "--budget", "10"],
     ["limit", "lq", "--q", "1/0"],  # zero denominator
     ["limit", "check", "--q", "1/0"],
+    ["series", "expand", "--which", "fbar", "--order", "-1"],
+    ["series", "expand", "--which", "f2", "--order", "-1"],
+    ["series", "expand", "--which", "f1", "--form", "product", "--order", "3", "--u-order", "-1"],
+    ["series", "expand", "--which", "f2", "--form", "product", "--order", "3", "--u-order", "-1"],
+    ["clique", "omega", "--n", "0", "--q", "2"],
+    ["oracle", "--n", "0", "--q", "2", "--task", "centralizer-count"],
+    ["oracle", "--n", "-1", "--q", "2", "--task", "centralizer-count"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -16,13 +16,20 @@ from glcensus.clique import (
     seed_clique,
     verify_clique,
 )
-from glcensus.oracle import BudgetError, _gl_group_cached, gl_group
+from glcensus.oracle import BudgetError, FqMatrix, _gl_group_cached, gl_group
 
 
 def test_graph_shapes():
     assert build_graph(2, 2).vertex_count == 5  # 6 elements, trivial centre
     assert build_graph(2, 3).vertex_count == 46  # centre of order 2
     assert build_graph(2, 4).vertex_count == 177  # centre of order 3
+
+
+def test_graph_identity_index_is_the_identity():
+    group = gl_group(2, 2)
+    assert build_graph(2, 2).identity_index == 2
+    assert group.mats[2] == FqMatrix.identity(group.field, 2)
+    assert build_graph(1, 3).identity_index == 0
 
 
 def test_graph_adjacency_matches_group():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from glcensus.qseries import (
     ps_exp,
     ps_from_dict,
     ps_mul,
-    ps_one,
     rf_to_useries,
 )
 
@@ -30,6 +30,15 @@ P = IntPolynomial.from_coeffs
 
 def rf(num, den=(1,)):
     return make_rf(P(num), P(den))
+
+
+def ps_one(order):
+    return ps_from_dict(order, {0: rf([1])})
+
+
+def ps_add(a, b):
+    assert (a.ring, b.ring, a.order) == (RATFUNC, RATFUNC, b.order)
+    return PowerSeries(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), RATFUNC)
 
 
 def const_series(order, values):
@@ -50,8 +59,13 @@ def test_ps_mul_identity():
 def test_ps_mul_mismatch():
     with pytest.raises(RingMismatchError):
         ps_mul(ps_one(2), ps_one(3))
+    product = build_f1(2, FORM_PRODUCT, 5)
     with pytest.raises(RingMismatchError):
-        ps_mul(ps_one(2), ps_one(2, USeriesRing(5)))
+        ps_mul(ps_one(2), product)
+    with pytest.raises(RingMismatchError):
+        ps_mul(product, product)
+    with pytest.raises(RingMismatchError):
+        ps_exp(build_f2(2, FORM_PRODUCT, 5))
 
 
 def test_ps_exp_zero_and_t():
@@ -96,6 +110,24 @@ def test_f1_product_matches_exp_in_u_ring():
 
 def test_f1_product_requires_u_ring():
     assert isinstance(build_f1(4, FORM_PRODUCT).ring, USeriesRing)
+
+
+@cache
+def partitions_into_exactly(n, k):
+    if n == k == 0:
+        return 1
+    if n <= 0 or k <= 0:
+        return 0
+    # drop a part of size 1, or take 1 from each of the k parts
+    return partitions_into_exactly(n - 1, k - 1) + partitions_into_exactly(n - k, k)
+
+
+def test_f1_product_counts_partitions_into_exactly_k_parts():
+    prod_form = build_f1(12, FORM_PRODUCT, 40)
+    for k in range(13):
+        coeffs = prod_form[k].coeffs
+        assert all(type(c) is int for c in coeffs)
+        assert list(coeffs) == [partitions_into_exactly(n, k) for n in range(41)], f"t^{k}"
 
 
 def test_f2_low_coefficients():
@@ -158,8 +190,10 @@ def test_rf_to_useries_pole():
 
 
 def test_ucoeff_order_mismatch():
-    with pytest.raises(RingMismatchError):
-        UCoeff.zero(3) + UCoeff.zero(4)
+    assert UCoeff(3, (0, 1, 2, 3)).coeffs == (0, 1, 2, 3)
+    for coeffs in [(0,) * 3, (0,) * 5]:
+        with pytest.raises(ValueError):
+            UCoeff(3, coeffs)
 
 
 small_rfs = st.builds(
@@ -176,37 +210,27 @@ def test_exp_is_additive(acoeffs, bcoeffs):
     order = 4
     a = ps_from_dict(order, dict(enumerate(acoeffs, start=1)))
     b = ps_from_dict(order, dict(enumerate(bcoeffs, start=1)))
-    assert ps_exp(a + b).coeffs == ps_mul(ps_exp(a), ps_exp(b)).coeffs
+    assert ps_exp(ps_add(a, b)).coeffs == ps_mul(ps_exp(a), ps_exp(b)).coeffs
 
 
 def power_sum_exp(a: PowerSeries) -> PowerSeries:
     """The former ps_exp, sum_k a^k / k!, kept as the reference for the recurrence."""
-    ring = a.ring
-    result = ps_one(a.order, ring)
-    term = ps_one(a.order, ring)
+    result = ps_one(a.order)
+    term = ps_one(a.order)
     for k in range(1, a.order + 1):
         term = ps_mul(term, a)
-        inv_k = ring.from_fraction(Fraction(1, k))
-        term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), ring)
-        result = result + term
+        inv_k = rf_from_fraction(Fraction(1, k))
+        term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), RATFUNC)
+        result = ps_add(result, term)
     return result
-
-
-small_ucoeffs = st.lists(
-    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=4, max_size=4
-).map(lambda cs: UCoeff(3, tuple(cs)))
 
 
 @st.composite
 def exp_arguments(draw):
-    """A series with zero constant term over RATFUNC or USERIES, with gaps."""
+    """A series with zero constant term, with gaps."""
     order = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        ring, coeff = RATFUNC, small_rfs
-    else:
-        ring, coeff = USeriesRing(3), small_ucoeffs
-    entries = {k: draw(coeff) for k in range(1, order + 1) if draw(st.booleans())}
-    return ps_from_dict(order, entries, ring)
+    entries = {k: draw(small_rfs) for k in range(1, order + 1) if draw(st.booleans())}
+    return ps_from_dict(order, entries)
 
 
 @settings(max_examples=40, deadline=None)
