@@ -7,13 +7,15 @@ every output is deterministic.
 steps (the defaults are 200000 and 10^9).
 
 Exit codes: 0 on success; 1 when a check or search the command ran fails;
-2 when the request is refused or invalid (bad input, a budget, a regime with
-no closed formula), which prints one line of JSON {"error": ...} on stdout.
+2 when the request is refused or invalid (bad input, a path that cannot be
+opened, a budget, a regime with no closed formula), which prints one line of
+JSON {"error": ...} on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -21,11 +23,8 @@ from fractions import Fraction
 from glcensus import asympt, census, clique, exactalg, oracle, qseries, verify
 
 
-def _emit(data, as_json: bool = True) -> None:
-    if as_json:
-        print(json.dumps(data, indent=2))
-    else:
-        print(data)
+def _emit(data) -> None:
+    print(json.dumps(data, indent=2))
 
 
 def _budget_from_args(args) -> oracle.Budget | None:
@@ -152,14 +151,12 @@ def cmd_limit_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     n, q = args.n, args.q
+    oracle.check_degree(n)
     budget = _budget_from_args(args)
     task = args.task
     payload: dict = {"task": task, "n": n, "q": q}
-    ok = True
     if task == "cyclic-proportion":
-        c = oracle.cyclic_proportion(n, q, budget)
-        bounds = oracle.wall_bound_terms(n, q)
-        ok = c >= bounds["estimate_minus_error"] and c > bounds["expanded_lower"]
+        c, bounds, ok = oracle.wall_bound_task(n, q, budget)
         payload.update({
             "proportion": f"{c.numerator}/{c.denominator}",
             "estimate_minus_error": str(bounds["estimate_minus_error"]),
@@ -167,24 +164,18 @@ def cmd_oracle(args) -> int:
             "bound_holds": ok,
         })
     elif task == "centralizer-count":
-        count, reps = oracle.count_cyclic_centralizers(n, q, budget)
-        bound = census.a_polynomial(n).eval_int(q)
-        ok = (count == bound) if q > n else (count < bound)
+        count, value, ok = oracle.centralizer_count_task(n, q, budget)
         payload.update({
             "distinct_centralizers": count,
-            "census_value": bound,
+            "census_value": value,
             "regime": "equality expected (q > n)" if q > n else "strict inequality expected (q <= n)",
             "as_expected": ok,
         })
     elif task == "regular-unipotent":
-        F = oracle.get_field(q)
-        cset = oracle.centralizer(oracle.regular_unipotent(F, n), budget)
-        norm = oracle.normalizer_of_set(cset, budget)
-        expect_c = q**n - q ** (n - 1)
-        expect_n = (q - 1) ** 2 * q ** (2 * n - 3)
-        ok = cset.order == expect_c and norm == expect_n
+        order, expect_c, norm, expect_n = oracle.regular_unipotent_task(n, q, budget)
+        ok = order == expect_c and norm == expect_n
         payload.update({
-            "centralizer_order": cset.order,
+            "centralizer_order": order,
             "centralizer_expected": expect_c,
             "normalizer_order": norm,
             "normalizer_expected": expect_n,
@@ -193,29 +184,19 @@ def cmd_oracle(args) -> int:
     elif task == "remark-matrix":
         if (n, q) != (4, 2):
             raise ValueError("the witness matrix lives in GL_4(2); use --n 4 --q 2")
-        witness = oracle.noncyclic_centralizer_witness()
-        cset = oracle.centralizer(witness, budget)
-        group = oracle.gl_group(4, 2, budget)
-        cyclic_members = sum(1 for i in cset.members if oracle.is_cyclic(group.mats[i]))
-        ok = cset.order == 16 and cyclic_members == 0
+        order, cyclic_members = oracle.remark_matrix_task(budget)
+        ok = order == 16 and cyclic_members == 0
         payload.update({
-            "centralizer_order": cset.order,
+            "centralizer_order": order,
             "expected_order": 16,
             "cyclic_members": cyclic_members,
             "as_expected": ok,
         })
     elif task == "jm-check":
-        F = oracle.get_field(q)
-        failures = []
-        cases = 0
-        for d in (1, 2, 3):
-            for f in oracle.monic_irreducibles(F, d):
-                for m in (1, 2, 3):
-                    cases += 1
-                    if oracle.min_poly(oracle.jm_block(F, f, m)) != oracle.fqpoly_pow(F, f, m):
-                        failures.append({"f": list(f), "m": m})
+        cases, failures = oracle.jm_check_task(q)
         ok = not failures
-        payload.update({"cases": cases, "failures": failures, "as_expected": ok})
+        payload.update({"cases": cases, "failures": [{"f": list(f), "m": m} for f, m in failures],
+                        "as_expected": ok})
     else:
         raise ValueError(f"unknown oracle task {task!r}")
     payload["status"] = "pass" if ok else "fail"
@@ -229,10 +210,12 @@ def cmd_oracle(args) -> int:
 def cmd_clique(args) -> int:
     budget = _budget_from_args(args)
     solver_budget = clique.SolverBudget(seconds=args.timeout)
-    result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
-    if args.emit_witness:
-        group = oracle.gl_group(args.n, args.q, budget)
-        with open(args.emit_witness, "w") as handle:
+    # the witness file is opened before the search, so a bad path costs nothing
+    witness_file = open(args.emit_witness, "w") if args.emit_witness else contextlib.nullcontext()
+    with witness_file as handle:
+        result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
+        if handle is not None:
+            group = oracle.gl_group(args.n, args.q, budget)
             for idx in result.witness:
                 flat = [str(x) for row in group.mats[idx].rows for x in row]
                 handle.write(" ".join(flat) + "\n")
@@ -352,8 +335,9 @@ def main(argv=None) -> int:
     args.budget = getattr(args, "budget", None)
     try:
         return args.func(args)
-    except (ValueError, oracle.BudgetError) as exc:
-        # UnsupportedRegimeError and DivergenceError are ValueErrors
+    except (ValueError, OSError, oracle.BudgetError) as exc:
+        # UnsupportedRegimeError and DivergenceError are ValueErrors; an
+        # OSError is a path given on the command line that cannot be opened
         print(json.dumps({"error": str(exc)}))
         return 2
 

@@ -1,30 +1,28 @@
 """Brute-force ground truth over small general linear groups.
 
-Everything in this module is computed by explicit enumeration over a finite
-field with q = p^e elements: matrices are tuples of field-element encodings,
-invertibility is Gaussian elimination, centralizers are full scans of the
-group, and minimal polynomials come from the first linear dependency among
-the powers of a matrix.  Field elements are encoded as integers 0..q-1 (the
-base-p digit vector of the residue polynomial), so every enumeration order is
-reproducible.  F_q is built once, from the prime field: F_p has tables mod p,
-and for e > 1 F_q is F_p[t]/(f), its tables computed with the same
-polynomial helpers (``fqpoly_*``) over F_p that the rest of the module uses
-over F_q.  The modulus f is the least monic irreducible of degree e in
-encoding order.
+Everything here is explicit enumeration over F_q, q = p^e.  Field elements
+are the integers 0..q-1 (base-p digit vectors of residues mod f, the least
+monic irreducible of degree e in encoding order) and matrices are tuples of
+them, so every enumeration order is reproducible.
 
-The scans run in numpy on one representation for every q.  Each field
-element a is replaced by the e x e matrix over F_p of multiplication by a on
-the basis 1, t, ..., t^(e-1) (the regular representation, Lidl and
-Niederreiter, Finite Fields, ch. 2), so an n x n matrix over F_q becomes an
-ne x ne integer matrix.  That map is an injective ring homomorphism, so
-products, commuting and equality over F_q are exactly integer matmul mod p
-and array equality; for a prime field it is the identity.  Column 0 of each
-e x e block holds the digits of the entry itself, which is how products are
-read back as F_q entries.  Two budgets, both decided from the closed-form
-group order before anything is enumerated, protect against accidentally huge
-runs: a cap on the group order for enumeration, and a cap on scan steps for
-the quadratic tasks (a full centralizer census of GL_3(4) would take 3.3e10
-pair checks and is refused by default).
+The group work runs in numpy on one representation for every q: entry a
+becomes the e x e matrix over F_p of multiplication by a on 1, t, ...,
+t^(e-1) (the regular representation, Lidl and Niederreiter, Finite Fields,
+ch. 2), column j holding the digits of a t^j.  That map is an injective ring
+homomorphism, so products, commuting, rank and equality over F_q are integer
+matmul mod p, elimination mod p and array equality on ne x ne matrices.
+One kernel, ``_rref``, does every elimination, over a whole stack at once:
+GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
+when the lifts of t^j M^k (j < e, k < n), which span F_q[M] over F_p, have
+rank ne; and since C(M) = F_q[M]^x for cyclic M, the census keys each cyclic
+M on the reduced echelon form of that span.  ``min_poly`` is the one
+hand-written elimination left, for the block checks.  The ``*_task``
+functions at the end are the checks both the CLI and the verify suite run.
+
+Budgets, decided from the closed-form group order before anything is
+enumerated, cap the group order for enumeration and the scan steps of the
+quadratic tasks (the GL_3(4) census is charged 3.3e10 steps and is refused
+by default).
 
 On the lower-bound constant used by the proportion checks: the measured
 proportion of cyclic matrices is compared against the exact estimate
@@ -43,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from glcensus.census import check_prime_power, gl_order
+from glcensus.census import a_polynomial, check_prime_power, gl_order
 
 
 class BudgetError(RuntimeError):
@@ -188,8 +186,6 @@ def fqpoly_is_irreducible(field: Fq, f) -> bool:
     d = len(f) - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
     for deg in range(1, d // 2 + 1):
         for tail in itertools.product(range(field.q), repeat=deg):
             g = tail + (1,)
@@ -244,69 +240,9 @@ class FqMatrix:
             out.append(tuple(row))
         return FqMatrix(F, tuple(out))
 
-    def __sub__(self, other: FqMatrix) -> FqMatrix:
-        F = self.field
-        return FqMatrix(F, tuple(
-            tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        ))
-
-    def commutes_with(self, other: FqMatrix) -> bool:
-        return (self @ other) == (other @ self)
-
-    def rank(self) -> int:
-        F = self.field
-        m = [list(r) for r in self.rows]
-        n = self.n
-        rank = 0
-        for col in range(n):
-            pivot = next((r for r in range(rank, n) if m[r][col]), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = F.inv(m[rank][col])
-            m[rank] = [F.mul(inv, x) for x in m[rank]]
-            for r in range(n):
-                if r != rank and m[r][col]:
-                    c = m[r][col]
-                    m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return rank
-
-    def is_invertible(self) -> bool:
-        return self.rank() == self.n
-
-    def inverse(self) -> FqMatrix:
-        F = self.field
-        n = self.n
-        m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = F.inv(m[col][col])
-            m[col] = [F.mul(inv, x) for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    c = m[r][col]
-                    m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
-        return FqMatrix(F, tuple(tuple(row[n:]) for row in m))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
-
-def matrix_from_flat(field: Fq, n: int, entries) -> FqMatrix:
-    entries = list(entries)
-    return FqMatrix(field, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
-
 
 # ---------------------------------------------------------------------------
 # minimal polynomials
-
-
-def _vec(M: FqMatrix) -> tuple[int, ...]:
-    return tuple(x for row in M.rows for x in row)
 
 
 def min_poly(M: FqMatrix) -> tuple[int, ...]:
@@ -317,7 +253,7 @@ def min_poly(M: FqMatrix) -> tuple[int, ...]:
     basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combo)
     power = FqMatrix.identity(F, n)
     for k in range(n + 1):
-        vec = list(_vec(power))
+        vec = [x for row in power.rows for x in row]
         combo = [0] * (n + 1)
         combo[k] = 1
         for pivot, bvec, bcombo in basis:
@@ -335,11 +271,6 @@ def min_poly(M: FqMatrix) -> tuple[int, ...]:
         basis.append((pivot, vec, combo))
         power = power @ M
     raise AssertionError("no dependency among n+1 matrix powers")
-
-
-def is_cyclic(M: FqMatrix) -> bool:
-    """True when the minimal polynomial has full degree n."""
-    return len(min_poly(M)) - 1 == M.n
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +300,7 @@ def jm_block(field: Fq, f: tuple[int, ...], m: int) -> FqMatrix:
 
 def regular_unipotent(field: Fq, n: int) -> FqMatrix:
     """The full Jordan block with eigenvalue 1: minimal polynomial (t-1)^n."""
-    one_minus_t = (field.neg(1), 1)  # t - 1
-    return jm_block(field, one_minus_t, n)
+    return jm_block(field, (field.neg(1), 1), n)
 
 
 def noncyclic_centralizer_witness() -> FqMatrix:
@@ -380,41 +310,79 @@ def noncyclic_centralizer_witness() -> FqMatrix:
 
 
 # ---------------------------------------------------------------------------
-# group enumeration and scans
+# batched elimination, group enumeration and scans
 
 
-# Entries of the largest product stack one scan step materialises at once.
+# Entries of the largest stack one step of the group work materialises at once.
 _CHUNK_ENTRIES = 2_000_000
 
 
+def _slices(count: int, entries_per_item: int):
+    """Consecutive slices of range(count), each of at most _CHUNK_ENTRIES entries."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms mod p of a stack (B, r, c) of integer
+    matrices, and their ranks: one pass over the columns, vectorised over B."""
+    m = np.array(stack, dtype=np.int64) % p
+    count, r, c = m.shape
+    inv = np.array(get_field(p).inv_table, dtype=np.int64)
+    batch, rows = np.arange(count), np.arange(r)
+    rank = np.zeros(count, dtype=np.int64)
+    for col in range(c):
+        # the pivot is the first row at or below the rank with a nonzero entry;
+        # a matrix without one keeps top = pivot and eliminates nothing.  The
+        # pivot row is zero left of col, so elimination changes only col:.
+        found = (m[:, :, col] != 0) & (rows >= rank[:, None])
+        has = found.any(axis=1)
+        top = np.minimum(rank, r - 1)
+        pivot = np.where(has, found.argmax(axis=1), top)
+        row = m[batch, pivot]
+        m[batch, pivot] = m[batch, top]
+        row = row * inv[row[:, col]][:, None] % p
+        rest = m[:, :, col:]
+        rest -= np.where(has[:, None], m[:, :, col], 0)[:, :, None] * row[:, None, col:]
+        rest %= p
+        m[batch, top] = np.where(has[:, None], row, m[batch, top])
+        rank += has
+    return m, rank
+
+
 class GLGroup:
-    """Fully enumerated GL_n(q) in lexicographic entry order, with caches."""
+    """Fully enumerated GL_n(q) in lexicographic entry order, with caches:
+    ``mats`` as ``FqMatrix`` and ``lifted`` as one stack over F_p."""
 
     def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
         self.field = get_field(q)
         self.order = gl_order(n).eval_int(q)
-        mats = []
-        for entries in itertools.product(range(q), repeat=n * n):
-            M = matrix_from_flat(self.field, n, entries)
-            if M.is_invertible():
-                mats.append(M)
-        if len(mats) != self.order:
-            raise AssertionError("enumeration does not match the group order")
-        self.mats: tuple[FqMatrix, ...] = tuple(mats)
-        self._index = {M.rows: i for i, M in enumerate(mats)}
         p, e = self.field.p, self.field.e
+        d = n * e
         # _blocks[a] is the matrix of multiplication by a: column j holds the
         # base-p digits of a * t^j, so column 0 holds the digits of a
         images = np.array(self.field.mul_table, dtype=np.int64)[:, p ** np.arange(e)]
         self._blocks = images[:, None, :] // p ** np.arange(e)[:, None] % p
         # weight of digit i of entry (r, c): p^i q^(n^2 - 1 - (rn + c))
-        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64).reshape(n, 1, n)
-        self._weights = (place * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
-        self._lifted: np.ndarray | None = None
+        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        self._weights = (place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
+        entries, lifted = [], []
+        for s in _slices(q ** (n * n), d * d):
+            block = (np.arange(s.start, s.stop)[:, None] // place % q).reshape(-1, n, n)
+            lift = self.lift(block)
+            invertible = _rref(lift, p)[1] == d
+            entries.append(block[invertible])
+            lifted.append(lift[invertible])
+        self.lifted = np.concatenate(lifted)
+        self.mats: tuple[FqMatrix, ...] = tuple(
+            FqMatrix(self.field, tuple(map(tuple, rows))) for rows in np.concatenate(entries).tolist())
+        if len(self.mats) != self.order:
+            raise AssertionError("enumeration does not match the group order")
+        self._index = {M.rows: i for i, M in enumerate(self.mats)}
         self._cyclic: tuple[bool, ...] | None = None
-        self._census: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+        self._keys: np.ndarray | None = None
 
     def index_of(self, M: FqMatrix) -> int:
         return self._index[M.rows]
@@ -425,13 +393,6 @@ class GLGroup:
         entries = np.asarray(entries, dtype=np.int64)
         d = self.n * self.field.e
         return self._blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
-
-    @property
-    def lifted(self) -> np.ndarray:
-        """Every group element lifted, stacked in group order."""
-        if self._lifted is None:
-            self._lifted = self.lift([M.rows for M in self.mats])
-        return self._lifted
 
     def codes(self, lifted: np.ndarray) -> np.ndarray:
         """One integer per reduced lifted matrix in a stack: its n^2 F_q
@@ -445,10 +406,9 @@ class GLGroup:
         """Yield (start, X_k S mod p, S X_k mod p) over consecutive chunks X_k
         of the lifted stack X, each product of shape (len(X_k), len(S), ne, ne)."""
         p = self.field.p
-        chunk = max(1, _CHUNK_ENTRIES // max(1, len(S) * S.shape[-1] ** 2))
-        for start in range(0, len(X), chunk):
-            block = X[start:start + chunk, None]
-            yield start, block @ S % p, S @ block % p
+        for s in _slices(len(X), len(S) * S.shape[-1] ** 2):
+            block = X[s, None]
+            yield s.start, block @ S % p, S @ block % p
 
     def center_indices(self) -> tuple[int, ...]:
         out = []
@@ -457,8 +417,24 @@ class GLGroup:
         return tuple(sorted(out))
 
     def cyclic_flags(self) -> tuple[bool, ...]:
+        """Whether each element M is cyclic: the F_p-span of the t^j M^k
+        (j < e, k < n), which is F_q[M] of dimension e deg(min poly of M), has
+        rank ne.  Their digits are columns j of the blocks of the lifted M^k.
+        The row codes of the span's echelon form are kept as census keys."""
         if self._cyclic is None:
-            self._cyclic = tuple(is_cyclic(M) for M in self.mats)
+            n, e, p = self.n, self.field.e, self.field.p
+            d = n * e
+            flags, keys = [], []
+            for s in _slices(self.order, n * d * d):
+                powers = [np.broadcast_to(np.eye(d, dtype=np.int64), self.lifted[s].shape)]
+                for _ in range(n - 1):
+                    powers.append(powers[-1] @ self.lifted[s] % p)
+                blocks = np.stack(powers, axis=1).reshape(-1, n, n, e, n, e)
+                rref, rank = _rref(blocks.transpose(0, 5, 1, 2, 3, 4).reshape(-1, d, n * d), p)
+                flags.append(rank == d)
+                keys.append(rref @ self._weights)
+            self._cyclic = tuple(np.concatenate(flags).tolist())
+            self._keys = np.concatenate(keys)
         return self._cyclic
 
     def commuting(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -473,41 +449,34 @@ class GLGroup:
         column = self.commuting(self.lifted, self.lift([M.rows]))[:, 0]
         return tuple(int(i) for i in np.flatnonzero(column))
 
-    def cyclic_centralizer_census(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(representatives, member sets) of all distinct centralizers of
-        cyclic elements, with the partition cross-check enforced.
+    def cyclic_centralizer_census(self) -> tuple[int, ...]:
+        """One representative index per distinct centralizer of a cyclic
+        element, ascending: the least cyclic index with each census key.
 
-        Each cyclic element lies in exactly one such centralizer, so scanning
-        only uncovered cyclic elements is exhaustive; the cross-check below
-        (distinctness plus the counting identity) would expose any violation.
+        C(M) = F_q[M]^x for cyclic M, so equal keys (equal algebras) are
+        exactly equal centralizers.  Cross-check: every cyclic element
+        commutes with the representative of its key.
         """
-        if self._census is not None:
-            return self._census
-        flags = self.cyclic_flags()
-        covered = [False] * self.order
-        reps: list[int] = []
-        sets: list[tuple[int, ...]] = []
-        for idx, cyc in enumerate(flags):
-            if not cyc or covered[idx]:
-                continue
-            members = self.commuting_indices(self.mats[idx])
-            reps.append(idx)
-            sets.append(members)
-            for j in members:
-                if flags[j]:
-                    covered[j] = True
-        if len(set(sets)) != len(sets):
-            raise AssertionError("distinct-centralizer collision: uniqueness violated")
-        inside = sum(sum(1 for j in s if flags[j]) for s in sets)
-        if inside != sum(flags):
-            raise AssertionError("cyclic elements are not partitioned by their centralizers")
-        self._census = (tuple(reps), tuple(sets))
-        return self._census
+        cyclic = np.flatnonzero(self.cyclic_flags())
+        _, first, key = np.unique(self._keys[cyclic], axis=0, return_index=True, return_inverse=True)
+        owner = cyclic[first][key.reshape(-1)]
+        p = self.field.p
+        for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
+            A, R = self.lifted[cyclic[s]], self.lifted[owner[s]]
+            if not (A @ R % p == R @ A % p).all():
+                raise AssertionError("a cyclic element does not commute with its key's representative")
+        return tuple(sorted(cyclic[first].tolist()))
 
 
 @lru_cache(maxsize=None)
 def _gl_group_cached(n: int, q: int) -> GLGroup:
     return GLGroup(n, q)
+
+
+def check_degree(n: int) -> None:
+    """Refuse a matrix size n < 1, naming the n given."""
+    if n < 1:
+        raise ValueError(f"GL_n(q) needs n >= 1, got n = {n}")
 
 
 def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None = None,
@@ -518,8 +487,7 @@ def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None =
     The task takes |GL_n(q)| * steps_per_element scan steps; the default is
     a pairwise scan, |GL_n(q)| steps per element.
     """
-    if n < 1:
-        raise ValueError(f"GL_n(q) needs n >= 1, got n = {n}")
+    check_degree(n)
     budget = budget if budget is not None else DEFAULT_BUDGET
     order = gl_order(n).eval_int(q)
     if order > budget.elements:
@@ -532,23 +500,6 @@ def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None =
 def gl_group(n: int, q: int, budget: Budget | None = None) -> GLGroup:
     check_scan_budget(n, q, f"enumeration of GL_{n}({q})", 0, budget)
     return _gl_group_cached(n, q)
-
-
-def cyclic_proportion(n: int, q: int, budget: Budget | None = None) -> Fraction:
-    """Exact fraction of elements whose characteristic and minimal
-    polynomials coincide."""
-    group = gl_group(n, q, budget)
-    return Fraction(sum(group.cyclic_flags()), group.order)
-
-
-def wall_bound_terms(n: int, q: int) -> dict[str, Fraction]:
-    """The two exact lower bounds the measured proportion must satisfy."""
-    qf = Fraction(q)
-    main = (1 - qf**-5) / (1 + qf**-3)
-    return {
-        "estimate_minus_error": main - Fraction(1, q**n * (q - 1)),
-        "expanded_lower": 1 - qf**-3 - qf**-5 + qf**-6 - qf**-n,
-    }
 
 
 @dataclass(frozen=True)
@@ -577,8 +528,8 @@ def count_cyclic_centralizers(n: int, q: int,
     """Number of distinct centralizers of cyclic matrices, plus one cyclic
     representative index per centralizer (the least, so output is stable)."""
     check_scan_budget(n, q, f"centralizer census of GL_{n}({q})", budget=budget)
-    reps, sets = gl_group(n, q, budget).cyclic_centralizer_census()
-    return len(sets), reps
+    reps = gl_group(n, q, budget).cyclic_centralizer_census()
+    return len(reps), reps
 
 
 def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int:
@@ -595,3 +546,51 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
         same = np.sort(group.codes(left), axis=1) == np.sort(group.codes(right), axis=1)
         count += int(same.all(axis=1).sum())
     return count
+
+
+# ---------------------------------------------------------------------------
+# the oracle tasks, each run by both the CLI and the verify suite
+
+
+def wall_bound_task(n: int, q: int, budget: Budget | None = None):
+    """(the exact fraction of cyclic elements of GL_n(q), its two lower
+    bounds by name, whether it meets the first and exceeds the second)."""
+    group = gl_group(n, q, budget)
+    c = Fraction(sum(group.cyclic_flags()), group.order)
+    qf = Fraction(q)
+    bounds = {
+        "estimate_minus_error": (1 - qf**-5) / (1 + qf**-3) - Fraction(1, q**n * (q - 1)),
+        "expanded_lower": 1 - qf**-3 - qf**-5 + qf**-6 - qf**-n,
+    }
+    return c, bounds, c >= bounds["estimate_minus_error"] and c > bounds["expanded_lower"]
+
+
+def centralizer_count_task(n: int, q: int, budget: Budget | None = None) -> tuple[int, int, bool]:
+    """(distinct cyclic centralizers, a_n(q), whether the count equals a_n(q)
+    for q > n and is strictly below it otherwise)."""
+    count, _ = count_cyclic_centralizers(n, q, budget)
+    value = a_polynomial(n).eval_int(q)
+    return count, value, count == value if q > n else count < value
+
+
+def regular_unipotent_task(n: int, q: int, budget: Budget | None = None) -> tuple[int, int, int, int]:
+    """(centralizer order, expected, normalizer order, expected) for the
+    regular unipotent of GL_n(q); for n = 1 the normalizer is all of GL_1(q)."""
+    cset = centralizer(regular_unipotent(get_field(q), n), budget)
+    expect_normalizer = (q - 1) ** 2 * q ** (2 * n - 3) if n > 1 else q - 1
+    return cset.order, q**n - q ** (n - 1), normalizer_of_set(cset, budget), expect_normalizer
+
+
+def jm_check_task(q: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """(cases, failing (f, m)) of min_poly(J_m(f)) = f^m over F_q, for every
+    monic irreducible f of degree at most 3 and m <= 3."""
+    F = get_field(q)
+    cases = [(f, m) for d in (1, 2, 3) for f in monic_irreducibles(F, d) for m in (1, 2, 3)]
+    return len(cases), [(f, m) for f, m in cases if min_poly(jm_block(F, f, m)) != fqpoly_pow(F, f, m)]
+
+
+def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int]:
+    """(centralizer order, cyclic members) of the GL_4(2) witness: (16, 0)."""
+    cset = centralizer(noncyclic_centralizer_witness(), budget)
+    flags = gl_group(4, 2, budget).cyclic_flags()
+    return cset.order, sum(flags[i] for i in cset.members)

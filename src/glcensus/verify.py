@@ -265,9 +265,8 @@ WALL_INSTANCES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 def check_wall_bound(budget=None) -> tuple[str, str]:
     bad = []
     for n, q in WALL_INSTANCES:
-        c = oracle.cyclic_proportion(n, q, budget)
-        bounds = oracle.wall_bound_terms(n, q)
-        if not (c >= bounds["estimate_minus_error"] and c > bounds["expanded_lower"]):
+        c, _, holds = oracle.wall_bound_task(n, q, budget)
+        if not holds:
             bad.append(f"(n,q)=({n},{q}): proportion {c} violates the bound")
     status, detail = _fail_list(bad)
     return status, detail or "measured cyclic proportions satisfy the Wall-type bound"
@@ -275,14 +274,11 @@ def check_wall_bound(budget=None) -> tuple[str, str]:
 
 def check_centralizer_count(budget=None) -> tuple[str, str]:
     bad = []
-    for (n, q), expect_equal in [((2, 3), True), ((2, 4), True), ((2, 5), True),
-                                 ((2, 2), False), ((3, 2), False), ((3, 3), False)]:
-        count, _ = oracle.count_cyclic_centralizers(n, q, budget)
-        bound = census.a_polynomial(n).eval_int(q)
-        if expect_equal and count != bound:
-            bad.append(f"({n},{q}): {count} != {bound}")
-        if not expect_equal and not count < bound:
-            bad.append(f"({n},{q}): {count} not strictly below {bound}")
+    for n, q in [(2, 3), (2, 4), (2, 5), (2, 2), (3, 2), (3, 3)]:
+        count, value, as_expected = oracle.centralizer_count_task(n, q, budget)
+        if not as_expected:
+            bad.append(f"({n},{q}): {count} != {value}" if q > n
+                       else f"({n},{q}): {count} not strictly below {value}")
     status, detail = _fail_list(bad)
     return status, detail or "centralizer counts match the census exactly when q > n, strictly below otherwise"
 
@@ -301,26 +297,17 @@ def check_q_equals_n(budget=None) -> tuple[str, str]:
 def check_structural(budget=None) -> tuple[str, str]:
     bad = []
     for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        F = oracle.get_field(q)
-        cset = oracle.centralizer(oracle.regular_unipotent(F, n), budget)
-        if cset.order != q**n - q ** (n - 1):
-            bad.append(f"regular unipotent ({n},{q}): centralizer order {cset.order}")
-        norm = oracle.normalizer_of_set(cset, budget)
-        if norm != (q - 1) ** 2 * q ** (2 * n - 3):
+        order, expect_c, norm, expect_n = oracle.regular_unipotent_task(n, q, budget)
+        if order != expect_c:
+            bad.append(f"regular unipotent ({n},{q}): centralizer order {order}")
+        if norm != expect_n:
             bad.append(f"regular unipotent ({n},{q}): normalizer order {norm}")
     for q in (2, 3):
-        F = oracle.get_field(q)
-        for d in (1, 2, 3):
-            for f in oracle.monic_irreducibles(F, d):
-                for m in (1, 2, 3):
-                    if oracle.min_poly(oracle.jm_block(F, f, m)) != oracle.fqpoly_pow(F, f, m):
-                        bad.append(f"block ({d},{m}) over F_{q}: minimal polynomial mismatch")
-    witness = oracle.noncyclic_centralizer_witness()
-    cset = oracle.centralizer(witness, budget)
-    group = oracle.gl_group(4, 2, budget)
-    cyclic_members = sum(1 for i in cset.members if oracle.is_cyclic(group.mats[i]))
-    if cset.order != 16 or cyclic_members != 0:
-        bad.append(f"witness matrix: order {cset.order}, cyclic members {cyclic_members}")
+        for f, m in oracle.jm_check_task(q)[1]:
+            bad.append(f"block ({len(f) - 1},{m}) over F_{q}: minimal polynomial mismatch")
+    order, cyclic_members = oracle.remark_matrix_task(budget)
+    if order != 16 or cyclic_members != 0:
+        bad.append(f"witness matrix: order {order}, cyclic members {cyclic_members}")
     status, detail = _fail_list(bad)
     return status, detail or "centralizer, normalizer and block-minimal-polynomial identities hold"
 

@@ -8,6 +8,8 @@ jobs.  These checks make it a test failure instead.
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
 
@@ -21,7 +23,8 @@ def test_every_traced_site_exists():
     assert missing == []
 
 
-def test_series_limits_smoke_pass_matches_the_reference():
-    result = worker.run_pass("series-limits", 3, "smoke", worker.load_reference())
+@pytest.mark.parametrize("workload", ["census-deep", "series-limits", "oracle-groups"])
+def test_smoke_pass_matches_the_reference(workload):
+    result = worker.run_pass(workload, 3, "smoke", worker.load_reference())
     failed = [job for job in result["jobs"] if not job["ok"]]
     assert result["jobs"] and failed == []

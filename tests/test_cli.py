@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from glcensus import census, cli, exactalg, qseries
+from glcensus import census, cli, clique, exactalg, qseries
 
 
 def run_cli(capsys, *argv):
@@ -80,9 +80,70 @@ def test_verify_fast_passes(capsys):
     ["clique", "omega", "--n", "0", "--q", "2"],
     ["oracle", "--n", "0", "--q", "2", "--task", "centralizer-count"],
     ["oracle", "--n", "-1", "--q", "2", "--task", "centralizer-count"],
+    ["oracle", "--n", "-1", "--q", "2", "--task", "regular-unipotent"],
+    ["oracle", "--n", "0", "--q", "2", "--task", "jm-check"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("n,task", [(-1, "regular-unipotent"), (0, "jm-check"),
+                                    (-1, "centralizer-count"), (0, "cyclic-proportion")])
+def test_oracle_refusal_names_the_given_n(capsys, n, task):
+    code, out, _ = run_cli(capsys, "oracle", "--n", str(n), "--q", "2", "--task", task)
+    assert code == 2
+    assert json.loads(out)["error"] == f"GL_n(q) needs n >= 1, got n = {n}"
+
+
+def test_oracle_regular_unipotent_n1(capsys):
+    # in GL_1(q) the regular unipotent is the identity: both its centralizer
+    # and its normalizer are GL_1(q), of order q - 1
+    code, out, _ = run_cli(capsys, "oracle", "--n", "1", "--q", "4", "--task", "regular-unipotent")
+    assert code == 0
+    assert json.loads(out) == {
+        "task": "regular-unipotent", "n": 1, "q": 4,
+        "centralizer_order": 3, "centralizer_expected": 3,
+        "normalizer_order": 3, "normalizer_expected": 3,
+        "as_expected": True, "status": "pass",
+    }
+
+
+@pytest.mark.parametrize("task,expect", [
+    ("cyclic-proportion", {"proportion": "23/24", "estimate_minus_error": "19/21",
+                           "expanded_lower": "619/729", "bound_holds": True}),
+    ("centralizer-count", {"distinct_centralizers": 13, "census_value": 13,
+                           "regime": "equality expected (q > n)", "as_expected": True}),
+    ("regular-unipotent", {"centralizer_order": 6, "centralizer_expected": 6,
+                           "normalizer_order": 12, "normalizer_expected": 12,
+                           "as_expected": True}),
+    ("jm-check", {"cases": 42, "failures": [], "as_expected": True}),
+])
+def test_oracle_task_payloads(capsys, task, expect):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "3", "--task", task)
+    assert code == 0
+    assert json.loads(out) == {"task": task, "n": 2, "q": 3, **expect, "status": "pass"}
+
+
+def test_clique_emit_witness(capsys, tmp_path):
+    path = tmp_path / "witness.txt"
+    code, out, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", "2",
+                           "--emit-witness", str(path))
+    assert code == 0 and json.loads(out)["omega"] == 4
+    rows = [line.split() for line in path.read_text().splitlines()]
+    assert len(rows) == 4 and all(len(r) == 4 for r in rows)
+
+
+def test_clique_unwritable_witness_is_refused_before_the_search(capsys, tmp_path, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(clique, "compute_omega", no_search)
+    path = tmp_path / "missing" / "witness.txt"
+    code, out, err = run_cli(capsys, "clique", "omega", "--n", "2", "--q", "2",
+                             "--emit-witness", str(path))
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
     assert "Traceback" not in out + err

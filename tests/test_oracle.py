@@ -11,21 +11,19 @@ from glcensus.oracle import (
     CentralizerSet,
     FqMatrix,
     _gl_group_cached,
+    _rref,
     centralizer,
     count_cyclic_centralizers,
-    cyclic_proportion,
     fqpoly_pow,
     get_field,
     gl_group,
-    is_cyclic,
     jm_block,
-    matrix_from_flat,
     min_poly,
     monic_irreducibles,
     noncyclic_centralizer_witness,
     normalizer_of_set,
     regular_unipotent,
-    wall_bound_terms,
+    wall_bound_task,
 )
 
 
@@ -44,6 +42,74 @@ def encode(M: FqMatrix) -> int:
         for x in row:
             enc = enc * M.field.q + x
     return enc
+
+
+def is_cyclic(M: FqMatrix) -> bool:
+    """The former library test, kept as the reference for the cyclic flags:
+    the minimal polynomial has full degree n."""
+    return len(min_poly(M)) - 1 == M.n
+
+
+def commutes(A: FqMatrix, B: FqMatrix) -> bool:
+    return A @ B == B @ A
+
+
+def inverse(M: FqMatrix) -> FqMatrix:
+    """The former ``FqMatrix.inverse``, Gauss-Jordan over the field tables,
+    kept as the reference for conjugation."""
+    F = M.field
+    n = M.n
+    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = F.inv(m[col][col])
+        m[col] = [F.mul(inv, x) for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                c = m[r][col]
+                m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
+    return FqMatrix(F, tuple(tuple(row[n:]) for row in m))
+
+
+def reference_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], int]:
+    """Reduced row echelon form mod p and rank, one matrix, in plain Python."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return m, rank
+
+
+def reference_census(group) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The former census, kept as the reference: one full commuting scan per
+    centralizer of a not yet covered cyclic element, with its distinctness
+    and partition cross-checks."""
+    flags = group.cyclic_flags()
+    covered = [False] * group.order
+    reps, sets = [], []
+    for idx, cyc in enumerate(flags):
+        if not cyc or covered[idx]:
+            continue
+        members = group.commuting_indices(group.mats[idx])
+        reps.append(idx)
+        sets.append(members)
+        for j in members:
+            if flags[j]:
+                covered[j] = True
+    assert len(set(sets)) == len(sets)
+    assert sum(sum(1 for j in s if flags[j]) for s in sets) == sum(flags)
+    return tuple(reps), tuple(sets)
 
 
 def char_poly(M: FqMatrix) -> tuple[int, ...]:
@@ -248,6 +314,9 @@ def test_jm_block_min_poly_grid():
                     assert min_poly(J) == expect, (q, f, m)
                     assert char_poly(J) == expect, (q, f, m)
                     assert is_cyclic(J)
+                    if J.n <= 3 and f[0]:  # f(0) != 0 makes J invertible
+                        group = gl_group(J.n, q)
+                        assert group.cyclic_flags()[group.index_of(J)], (q, f, m)
 
 
 def test_char_poly_against_leibniz():
@@ -319,11 +388,13 @@ def test_regular_unipotent_is_cyclic():
     F2 = get_field(2)
     u = regular_unipotent(F2, 3)
     assert min_poly(u) == fqpoly_pow(F2, (1, 1), 3)  # (t-1)^3 = (t+1)^3 over F_2
-    assert is_cyclic(u)
+    group = gl_group(3, 2)
+    assert group.cyclic_flags()[group.index_of(u)]
 
 
 def test_identity_not_cyclic():
-    assert not is_cyclic(FqMatrix.identity(get_field(3), 2))
+    group = gl_group(2, 3)
+    assert not group.cyclic_flags()[group.index_of(FqMatrix.identity(group.field, 2))]
 
 
 def test_witness_matrix_not_cyclic_nor_its_centralizer():
@@ -332,22 +403,24 @@ def test_witness_matrix_not_cyclic_nor_its_centralizer():
     cset = centralizer(x)
     assert cset.order == 16
     group = gl_group(4, 2)
-    assert all(not is_cyclic(group.mats[i]) for i in cset.members)
+    flags = group.cyclic_flags()
+    assert not flags[group.index_of(x)]
+    assert all(not flags[i] for i in cset.members)
     # the centralizer is all unipotent: every member minus 1 has rank <= 2
-    I4 = FqMatrix.identity(get_field(2), 4)
-    assert all((group.mats[i] - I4).rank() <= 2 for i in cset.members)
+    ranks = _rref(group.lifted[list(cset.members)] - np.eye(4, dtype=np.int64), 2)[1]
+    assert ranks.max() <= 2
 
 
 def test_cyclic_proportion_gl22():
-    assert cyclic_proportion(2, 2) == Fraction(5, 6)
+    assert wall_bound_task(2, 2)[0] == Fraction(5, 6)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
 def test_wall_bound_small(n, q):
-    c = cyclic_proportion(n, q)
-    bounds = wall_bound_terms(n, q)
+    c, bounds, holds = wall_bound_task(n, q)
     assert c >= bounds["estimate_minus_error"]
     assert c > bounds["expanded_lower"]
+    assert holds
 
 
 # --- centralizers and normalizers --------------------------------------------
@@ -362,7 +435,7 @@ def test_regular_unipotent_centralizer_orders():
         assert cset.order == q**n - q ** (n - 1), (n, q)
         group = gl_group(n, q)
         members = [group.mats[i] for i in cset.members]
-        assert all(a.commutes_with(b) for a in members for b in members)
+        assert all(commutes(a, b) for a in members for b in members)
         expected_norm = (q - 1) ** 2 * q ** (2 * n - 1) // q**2
         assert normalizer_of_set(cset) == expected_norm, (n, q)
 
@@ -425,7 +498,7 @@ def test_count_lower_bound_from_proportion():
         count, _ = count_cyclic_centralizers(n, q)
         bound = (
             Fraction(gl_order(n).eval_int(q), q**n)
-            * wall_bound_terms(n, q)["expanded_lower"]
+            * wall_bound_task(n, q)[1]["expanded_lower"]
         )
         assert count >= bound
 
@@ -433,11 +506,11 @@ def test_count_lower_bound_from_proportion():
 def test_cyclic_centralizers_are_small_and_abelian():
     for n, q in [(2, 2), (2, 3), (3, 2)]:
         group = gl_group(n, q)
-        _, sets = group.cyclic_centralizer_census()
-        for members in sets:
+        for rep in group.cyclic_centralizer_census():
+            members = centralizer(group.mats[rep]).members
             assert len(members) <= q**n
             mats = [group.mats[i] for i in members]
-            assert all(a.commutes_with(b) for a in mats for b in mats)
+            assert all(commutes(a, b) for a in mats for b in mats)
 
 
 def test_normalizer_scan_budget():
@@ -453,7 +526,8 @@ def test_matrix_inverse_roundtrip():
     group = gl_group(2, 4)
     I = FqMatrix.identity(group.field, 2)
     for M in group.mats[::13]:
-        assert M @ M.inverse() == I
+        assert M @ inverse(M) == inverse(M) @ M == I
+        assert inverse(M) in group.mats
 
 
 def test_center_indices():
@@ -464,7 +538,7 @@ def test_center_indices():
     group = gl_group(2, 3)
     brute = tuple(
         i for i, M in enumerate(group.mats)
-        if all(M.commutes_with(H) for H in group.mats)
+        if all(commutes(M, H) for H in group.mats)
     )
     assert brute == group.center_indices()
 
@@ -494,9 +568,9 @@ def test_lift_is_multiplicative(q):
 def test_commuting_indices_matches_per_element_scan():
     group = gl_group(2, 4)
     F = group.field
-    singular = matrix_from_flat(F, 2, (0, 2, 0, 0))
+    singular = FqMatrix(F, ((0, 2), (0, 0)))
     for M in list(group.mats[::23]) + [singular, FqMatrix.identity(F, 2)]:
-        expect = tuple(i for i, H in enumerate(group.mats) if H.commutes_with(M))
+        expect = tuple(i for i, H in enumerate(group.mats) if commutes(H, M))
         assert group.commuting_indices(M) == expect
 
 
@@ -507,7 +581,7 @@ def test_commuting_table_matches_per_element(q):
     expect = np.zeros((group.order, group.order), dtype=bool)
     for i, A in enumerate(mats):
         for j in range(i, group.order):
-            expect[i, j] = expect[j, i] = A.commutes_with(mats[j])
+            expect[i, j] = expect[j, i] = commutes(A, mats[j])
     assert (group.commuting(group.lifted, group.lifted) == expect).all()
     columns = list(range(0, group.order, 7))
     assert (group.commuting(group.lifted, group.lifted[columns]) == expect[:, columns]).all()
@@ -521,6 +595,63 @@ def test_normalizer_matches_conjugation_reference():
         members = frozenset(group.mats[i].rows for i in cset.members)
         expect = sum(
             1 for g in group.mats
-            if frozenset((g @ group.mats[i] @ g.inverse()).rows for i in cset.members) == members
+            if frozenset((g @ group.mats[i] @ inverse(g)).rows for i in cset.members) == members
         )
         assert normalizer_of_set(cset) == expect
+
+
+# --- the batched elimination against plain Python ---------------------------
+
+
+def _stacks(p: int):
+    """Zero, rank-deficient, tall and wide stacks of integer matrices."""
+    rng = np.random.default_rng(p)
+    low = rng.integers(0, p, (30, 5, 2)) @ rng.integers(0, p, (30, 2, 6))
+    yield np.zeros((4, 3, 5), dtype=np.int64)
+    yield low  # rank at most 2, entries not yet reduced mod p
+    yield rng.integers(0, p, (40, 7, 3))  # tall
+    yield rng.integers(0, p, (40, 3, 8))  # wide
+    yield rng.integers(0, 2, (40, 4, 4)) * rng.integers(0, p, (40, 4, 4))  # sparse square
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_matches_plain_python(p):
+    for stack in _stacks(p):
+        before = stack.copy()
+        rref, rank = _rref(stack, p)
+        assert (stack == before).all()  # the input is not modified
+        assert rref.shape == stack.shape
+        for matrix, form, r in zip(stack.tolist(), rref.tolist(), rank.tolist()):
+            assert (form, r) == reference_rref(matrix, p)
+
+
+@pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (3, 2)])
+def test_cyclic_flags_match_min_poly(n, q):
+    group = gl_group(n, q)
+    assert group.cyclic_flags() == tuple(is_cyclic(M) for M in group.mats)
+
+
+@pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+def test_enumeration_matches_determinant_filter(n, q):
+    group = gl_group(n, q)
+    F = group.field
+    expect = []
+    for entries in itertools.product(range(q), repeat=n * n):
+        M = FqMatrix(F, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
+        if char_poly(M)[0]:  # det M = (-1)^n char_poly(M)(0)
+            expect.append(M)
+    assert group.mats == tuple(expect)
+    assert (group.lifted == group.lift([M.rows for M in expect])).all()
+
+
+@pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9),
+                                 (3, 2), (3, 3)])
+def test_census_matches_full_scan_reference(n, q):
+    group = gl_group(n, q)
+    reps, _ = reference_census(group)
+    assert group.cyclic_centralizer_census() == reps
+    assert count_cyclic_centralizers(n, q) == (len(reps), reps)
+
+
+def test_gl42_census_count():
+    assert count_cyclic_centralizers(4, 2)[0] == 3886
