@@ -4,7 +4,8 @@ table1.json is never written by this script: it is the externally published
 table, and the whole point of keeping it in the repository is regression
 safety independent of recomputation.  This script refuses to continue if the
 computed census polynomials disagree with it, and it writes b_rationals.json
-only when the interpolated b_n equal the label sums they are defined by.
+only when the b_n built by the census recurrence equal the label sums they
+are defined by.
 """
 
 import json
@@ -33,7 +34,7 @@ def main() -> None:
 
     for n in range(9):
         if class_sum(n) != b_coefficient(n):
-            raise SystemExit(f"b_{n} from the class sum disagrees with the interpolated census")
+            raise SystemExit(f"b_{n} from the class sum disagrees with the census recurrence")
     b = {str(n): rf_to_json(b_coefficient(n)) for n in range(9)}
     (GOLDEN_DIR / "b_rationals.json").write_text(json.dumps(b, indent=2) + "\n")
     print("wrote b_rationals.json")

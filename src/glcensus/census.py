@@ -10,14 +10,22 @@ subgroups, exact for q > 2 and an upper bound at q = 2.
 The label sum is the definition, but it is not how b_n is computed.  Summing
 over labels factors block by block, so b_n is the t^n coefficient of
 exp(sum_k L_k t^k) with L_k = sum_{dm=k} 1/N(d, m), N the normaliser of one
-block.  At an integer point q = q0 the recurrence j b_j = sum_k k L_k b_{j-k}
-gives b_n(q0) exactly in O(n^2) rational operations, hence the integer
-a_n(q0).  a_polynomial interpolates a_n, of degree n^2 - n, from its values
-at the consecutive nodes q0 = 2 .. n^2-n+2 in integer arithmetic (Newton
-form), confirms it at one extra node and checks that it is monic of the
-right degree; b_coefficient is then a_n / |GL_n| after one reduction.
-class_sum keeps the label sum itself as the definition-level cross-check for
-the verification suite and the tests.
+block, and F' = (log F)' F gives j b_j = sum_{k=1..j} k L_k b_{j-k}.
+Multiplying by |GL_j| turns it into a recurrence for a_j over Z[q]:
+
+    j a_j = sum_{k=1..j} w_{j,k} a_{j-k},   a_0 = 1,
+    w_{j,k} = sum_{dm=k} k |GL_j| / (|GL_{j-k}| N(d, m)).
+
+Each term of w_{j,k} is an integer polynomial.  |GL_j| / |GL_{j-k}| is
+q^(k(2j-k-1)/2) times the k factors q^i - 1 with j-k < i <= j; exactly m of
+those i are multiples of d, and q^d - 1 divides each of them, which covers
+(q^d - 1)^2 once m >= 2; the q-power is at least d(2m-3), and k = dm cancels
+the factor d of N(d, m).  a_polynomial builds a_1, a_2, ... once per process
+in one ascending pass, checking every division (by |GL_{j-k}|, by N(d, m)
+and by j) and that each a_j is monic of degree j^2 - j; b_coefficient is
+then a_n / |GL_n| after one reduction.  class_sum keeps the label sum itself
+as the definition-level cross-check for the verification suite and the
+tests.
 
 block_normalizer is the one definition of N(d, m); qseries builds the exp
 forms of the generating function from it too.  _denominator_shape, which
@@ -39,6 +47,7 @@ from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
     RF_ZERO,
+    ZERO_POLY,
     IntPolynomial,
     RationalFunction,
     make_rf,
@@ -174,7 +183,7 @@ def class_sum(n: int) -> RationalFunction:
     1/normalizer_order(mu).
 
     Not cached and not used by :func:`b_coefficient`; it is the independent
-    reference against which the interpolated census is checked.
+    reference against which the recurrence-built census is checked.
     """
     by_shape: dict[tuple, Fraction] = {}
     for mu in enumerate_phi(n):
@@ -213,72 +222,50 @@ def gl_order(n: int) -> IntPolynomial:
     return result
 
 
-def _node_value(n: int, q0: int) -> int:
-    """a_n(q0) = b_n(q0) * |GL_n(q0)|, from the log/exp recurrence at q = q0.
-
-    log F = sum_k L_k t^k with L_k = sum_{dm=k} 1/N(d, m), N the block
-    normaliser; F' = (log F)' F gives j b_j = sum_{k=1..j} k L_k b_{j-k}.
-    """
-    k_log = [Fraction(0)] * (n + 1)  # k * L_k(q0)
-    for d in range(1, n + 1):
-        for m in range(1, n // d + 1):
-            k_log[d * m] += Fraction(d * m, block_normalizer(d, m).num.eval_int(q0))
-    b = [Fraction(1)]
-    for j in range(1, n + 1):
-        b.append(sum(k_log[k] * b[j - k] for k in range(1, j + 1)) / j)
-    value = b[n] * gl_order(n).eval_int(q0)
-    if value.denominator != 1:
-        raise ConsistencyError(f"a_{n}({q0}) = {value} is not an integer")
-    return value.numerator
+# a_0, a_1, ...: every census polynomial computed so far, each exactly once
+_census: list[IntPolynomial] = [ONE_POLY]
 
 
-def _newton_interpolate(values: list[int], first: int) -> IntPolynomial:
-    """The integer polynomial of degree < len(values) taking values[i] at first + i.
-
-    Newton form over the consecutive nodes: the k-th forward difference of an
-    integer polynomial is divisible by k!, so every coefficient is an exact
-    integer quotient, and a remainder means the values fit no such polynomial.
-    """
-    diffs = list(values)
-    newton = []
-    factorial = 1
-    for k in range(len(values)):
-        c, r = divmod(diffs[0], factorial)
-        if r:
-            raise ConsistencyError(f"forward difference {k} is not divisible by {k}!")
-        newton.append(c)
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        factorial *= k + 1
-    # Horner: p = c_0 + (q - x_0)(c_1 + (q - x_1)(c_2 + ...)), x_k = first + k
-    acc: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        x = first + k
-        acc.insert(0, 0)
-        for i in range(len(acc) - 1):
-            acc[i] -= x * acc[i + 1]
-        acc[0] += newton[k]
-    return IntPolynomial.from_coeffs(acc)
+def _exact_quotient(num: IntPolynomial, den: IntPolynomial, what: str) -> IntPolynomial:
+    """num / den in Z[q]; a remainder or a non-integer coefficient is a ConsistencyError."""
+    try:
+        quo, rem = num.divmod(den)
+    except ValueError:
+        rem = None
+    if rem is None or not rem.is_zero:
+        raise ConsistencyError(f"{what} is not an integer polynomial")
+    return quo
 
 
-@lru_cache(maxsize=None)
 def a_polynomial(n: int) -> IntPolynomial:
     """b_n * |GL_n(q)|: the subgroup count, monic of degree n^2 - n.
 
     Exact count for q > 2; an upper bound when evaluated at q = 2.
-    Interpolated from its values at q = 2..n^2-n+2 and checked at one more.
+    Built by j a_j = sum_{k=1..j} w_{j,k} a_{j-k} over Z[q], from a_0 = 1 up,
+    with w_{j,k} = sum_{dm=k} k |GL_j| / (|GL_{j-k}| N(d, m)); every division
+    and the shape of every a_j are checked.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    degree = n * n - n
-    poly = _newton_interpolate([_node_value(n, q0) for q0 in range(2, degree + 3)], 2)
-    check = degree + 3
-    if poly.eval_int(check) != _node_value(n, check):
-        raise ConsistencyError(f"census polynomial for n={n} misses its check node q={check}")
-    if poly.degree != degree or poly.leading != 1:
-        raise ConsistencyError(
-            f"census polynomial for n={n} has degree {poly.degree}, leading {poly.leading}"
-        )
-    return poly
+    a = _census
+    for j in range(len(a), n + 1):
+        total = ZERO_POLY
+        for k in range(1, j + 1):
+            ratio = _exact_quotient(gl_order(j), gl_order(j - k), f"|GL_{j}| / |GL_{j - k}|")
+            ratio = ratio.scale(k)
+            weight = ZERO_POLY
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    weight = weight + _exact_quotient(
+                        ratio, block_normalizer(d, k // d).num,
+                        f"the ({d},{k // d}) term of w_{j},{k}")
+            total = total + weight * a[j - k]
+        poly = _exact_quotient(total, IntPolynomial.const(j), f"{j} a_{j} / {j}")
+        if poly.degree != j * j - j or poly.leading != 1:
+            raise ConsistencyError(
+                f"census polynomial for n={j} has degree {poly.degree}, leading {poly.leading}")
+        a.append(poly)
+    return a[n]
 
 
 def omega_closed(n: int, q: int) -> int:
@@ -308,31 +295,18 @@ def stabilized_prefix(n: int) -> list[int]:
     """Leading coefficients shared by every census polynomial of index >= n.
 
     Returns the first floor(n/2) coefficients of the series expansion of
-    prod_{k>=1} (1 - x^k)^(-k(k+1)/2).
+    prod_{k>=1} (1 - x^k)^(-k(k+1)/2): each factor 1/(1 - x^k) is one
+    in-place pass c[j] += c[j-k].
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     count = n // 2
-    order = count - 1
-    coeffs = [1] + [0] * order
-    for k in range(1, order + 1):
-        exponent = k * (k + 1) // 2
-        # multiply by (1 - x^k)^(-exponent) term by term
-        factor = [0] * (order + 1)
-        for j in range(0, order // k + 1):
-            factor[j * k] = math.comb(j + exponent - 1, j)
-        coeffs = _series_mul(coeffs, factor, order)
-    return coeffs[:count]
-
-
-def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j in range(0, order + 1 - i):
-                if b[j]:
-                    out[i + j] += ca * b[j]
-    return out
+    coeffs = [1] + [0] * (count - 1)
+    for k in range(1, count):
+        for _ in range(k * (k + 1) // 2):
+            for j in range(k, count):
+                coeffs[j] += coeffs[j - k]
+    return coeffs
 
 
 def check_prime_power(q: int) -> tuple[int, int]:

@@ -2,14 +2,15 @@
 
 Every subcommand prints JSON, except that census and verify print a
 human-readable table unless --json is given.  Execution is sequential, so
-every output is deterministic.
+every output is deterministic; limit lq prints its exact endpoints as
+hexadecimal num/den.
 --budget N caps group enumeration at N elements and scan work at 5000*N
 steps (the defaults are 200000 and 10^9).
 
 Exit codes: 0 on success; 1 when a check or search the command ran fails;
-2 when the request is refused or invalid (bad input, a path that cannot be
-opened, a budget, a regime with no closed formula), which prints one line of
-JSON {"error": ...} on stdout.
+2 when the request is refused or invalid (bad input or usage, a path that
+cannot be opened, a budget, a regime with no closed formula), which prints
+one line of JSON {"error": ...} on stdout.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def cmd_limit_lq(args) -> int:
     _emit({
         "q": str(q),
         "terms": args.terms,
-        "lo": f"{iv.lo.numerator}/{iv.lo.denominator}",
-        "hi": f"{iv.hi.numerator}/{iv.hi.denominator}",
+        # hexadecimal: the exact endpoints outgrow Python's decimal conversion limit
+        "lo": f"{iv.lo.numerator:x}/{iv.lo.denominator:x}",
+        "hi": f"{iv.hi.numerator:x}/{iv.hi.denominator:x}",
         "decimal_lo": asympt.fraction_to_decimal(iv.lo),
         "decimal_hi": asympt.fraction_to_decimal(iv.hi, round_up=True),
     })
@@ -256,6 +258,13 @@ def cmd_verify(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a refused request: raised, so main reports it as one."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags may appear before or after the subcommand, so they live in
     # a parent parser with SUPPRESS defaults (the last occurrence wins)
@@ -267,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="max group elements to enumerate (scan steps scale with it)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glcensus",
         description="Exact census of the abelian covers of GL_n(q), with brute-force verification.",
         parents=[common],
@@ -328,12 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.json = getattr(args, "json", False)
-    args.seed = getattr(args, "seed", 0)
-    args.budget = getattr(args, "budget", None)
     try:
+        args = build_parser().parse_args(argv)
+        args.json = getattr(args, "json", False)
+        args.seed = getattr(args, "seed", 0)
+        args.budget = getattr(args, "budget", None)
         return args.func(args)
     except (ValueError, OSError, oracle.BudgetError) as exc:
         # UnsupportedRegimeError and DivergenceError are ValueErrors; an

@@ -45,6 +45,13 @@ class SolverBudget:
     seconds: float = 60.0
     steps: int = 1_000_000_000
 
+    def __post_init__(self) -> None:
+        # `not seconds >= 0` also rejects NaN, a budget no elapsed time exceeds
+        if not self.seconds >= 0:
+            raise ValueError(f"time budget must be nonnegative seconds, got {self.seconds}")
+        if self.steps < 0:
+            raise ValueError(f"step budget must be nonnegative, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class NonComGraph:

@@ -28,29 +28,6 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 SKIPPED = "skipped"
 
-FAST_CHECKS = [
-    "census.table1",
-    "census.phi-counts",
-    "census.b-goldens",
-    "series.fbar-vs-class-sum",
-    "series.f1-forms",
-    "series.f2-forms",
-    "census.monotonic",
-    "census.stabilized-prefix",
-    "limit.l2-bracket",
-    "limit.estimates",
-    "limit.convergence",
-    "exactalg.random-eval",
-]
-FULL_CHECKS = [
-    "oracle.wall-bound",
-    "oracle.centralizer-count",
-    "oracle.q-equals-n",
-    "oracle.structural",
-    "clique.omega",
-]
-
-
 @dataclass(frozen=True)
 class CheckOutcome:
     check_id: str
@@ -335,33 +312,35 @@ def verify_all(level: str = "fast", seed: int = 0, golden_dir=None,
         raise ValueError("level must be fast or full")
     report = RunReport(command=command, level=level, seed=seed)
 
-    runners = {
-        "census.table1": lambda: check_table1(golden_dir),
-        "census.phi-counts": lambda: check_phi_counts(golden_dir),
-        "census.b-goldens": lambda: check_b_goldens(golden_dir),
-        "series.fbar-vs-class-sum": check_fbar_vs_class_sum,
-        "series.f1-forms": check_f1_forms,
-        "series.f2-forms": check_f2_forms,
-        "census.monotonic": check_monotonic,
-        "census.stabilized-prefix": check_stabilized_prefix,
-        "limit.l2-bracket": check_l2_bracket,
-        "limit.estimates": check_estimates,
-        "limit.convergence": check_convergence,
-        "exactalg.random-eval": lambda: check_random_eval(seed),
-        "oracle.wall-bound": lambda: check_wall_bound(budget),
-        "oracle.centralizer-count": lambda: check_centralizer_count(budget),
-        "oracle.q-equals-n": lambda: check_q_equals_n(budget),
-        "oracle.structural": lambda: check_structural(budget),
-        "clique.omega": lambda: check_omega(budget, solver_budget, golden_dir),
-    }
+    # every check once, in report order: (id, level, runner); the fast level
+    # reports the full-level checks as skipped
+    checks = [
+        ("census.table1", "fast", lambda: check_table1(golden_dir)),
+        ("census.phi-counts", "fast", lambda: check_phi_counts(golden_dir)),
+        ("census.b-goldens", "fast", lambda: check_b_goldens(golden_dir)),
+        ("series.fbar-vs-class-sum", "fast", check_fbar_vs_class_sum),
+        ("series.f1-forms", "fast", check_f1_forms),
+        ("series.f2-forms", "fast", check_f2_forms),
+        ("census.monotonic", "fast", check_monotonic),
+        ("census.stabilized-prefix", "fast", check_stabilized_prefix),
+        ("limit.l2-bracket", "fast", check_l2_bracket),
+        ("limit.estimates", "fast", check_estimates),
+        ("limit.convergence", "fast", check_convergence),
+        ("exactalg.random-eval", "fast", lambda: check_random_eval(seed)),
+        ("oracle.wall-bound", "full", lambda: check_wall_bound(budget)),
+        ("oracle.centralizer-count", "full", lambda: check_centralizer_count(budget)),
+        ("oracle.q-equals-n", "full", lambda: check_q_equals_n(budget)),
+        ("oracle.structural", "full", lambda: check_structural(budget)),
+        ("clique.omega", "full", lambda: check_omega(budget, solver_budget, golden_dir)),
+    ]
 
-    for check_id in FAST_CHECKS + FULL_CHECKS:
-        if level == "fast" and check_id in FULL_CHECKS:
+    for check_id, check_level, run in checks:
+        if level == "fast" and check_level == "full":
             report.checks.append(CheckOutcome(check_id, SKIPPED, "full level only", 0.0))
             continue
         start = time.monotonic()
         try:
-            status, detail = runners[check_id]()
+            status, detail = run()
         except Exception as exc:  # a crashed check is a failed check
             status, detail = FAIL, f"exception: {exc!r}"
         report.checks.append(CheckOutcome(check_id, status, detail, time.monotonic() - start))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from glcensus.census import (
     UnsupportedRegimeError,
     a_polynomial,
     b_coefficient,
+    block_normalizer,
     class_sum,
     enumerate_phi,
     gl_order,
@@ -100,7 +102,7 @@ def test_b_trivial_values():
 
 
 def test_b_matches_naive_label_sum():
-    # the interpolated b_n equals the grouped label sum, which must equal the
+    # the recurrence-built b_n equals the grouped label sum, which must equal the
     # plain sum over labels
     for n in range(11):
         grouped = class_sum(n)
@@ -112,24 +114,63 @@ def test_b_matches_naive_label_sum():
             assert grouped == naive, f"n={n}"
 
 
-# a_4 has degree 12: nodes q = 2..14, check node q = 15.
-@pytest.mark.parametrize("node, delta, message", [
-    (15, 1, "check node"),  # only the extra node can see this one
-    (9, 1, "not divisible"),  # no integer polynomial fits the nodes
-    (9, math.factorial(12), "check node"),  # an integer polynomial fits, the wrong one
+def _scaled_split_torus(d, m):
+    n = block_normalizer(d, m)
+    return rf(n.num.scale(2).coeffs) if (d, m) == (1, 1) else n
+
+
+# Each case feeds the recurrence one wrong input and names the check that
+# must catch it.  The census cache is replaced by a fresh list for the test,
+# so no a_j built from a wrong input outlives it: after the undo, a_4 is
+# read from the real cache again.
+@pytest.mark.parametrize("patch, start, message", [
+    # |GL_0| = q: |GL_1| / |GL_0| leaves a remainder
+    pytest.param("gl_order", lambda n: P([0, 1]) if n == 0 else gl_order(n),
+                 "|GL_1| / |GL_0|", id="group-order-remainder"),
+    # N(1, 1) = 2(q - 1): the k = 1 weight has a non-integer coefficient
+    pytest.param("block_normalizer", _scaled_split_torus, "the (1,1) term of w_1,1",
+                 id="weight-not-integral"),
+    # a wrong a_1 = q: 2 a_2 = q^3 + 2q^2 + q + 2 is not divisible by 2
+    pytest.param(None, [P([1]), P([0, 1])], "2 a_2 / 2", id="sum-not-divisible-by-j"),
+    # a_0 = 2: every a_j doubles, so a_1 = 2 is not monic
+    pytest.param(None, [P([2])], "n=1 has degree 0, leading 2", id="not-monic"),
+    # a_0 = q: every a_j gains a factor q, so a_1 = q has degree 1, not 0
+    pytest.param(None, [P([0, 1])], "n=1 has degree 1, leading 1", id="wrong-degree"),
 ])
-def test_a_polynomial_rejects_a_wrong_node_value(monkeypatch, node, delta, message):
-    exact = census._node_value
-    monkeypatch.setattr(census, "_node_value",
-                        lambda n, q0: exact(n, q0) + (delta if q0 == node else 0))
-    with pytest.raises(ConsistencyError, match=message):
-        census.a_polynomial.__wrapped__(4)
+def test_a_polynomial_checks_every_division_and_shape(monkeypatch, patch, start, message):
+    if patch is None:
+        monkeypatch.setattr(census, "_census", start)
+    else:
+        monkeypatch.setattr(census, "_census", [P([1])])
+        monkeypatch.setattr(census, patch, start)
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        census.a_polynomial(4)
+    monkeypatch.undo()
+    assert a_polynomial(4) == P(TABLE1[4])
 
 
-def test_node_value_must_be_an_integer(monkeypatch):
-    monkeypatch.setattr(census, "gl_order", lambda n: P([1]))
-    with pytest.raises(ConsistencyError, match="not an integer"):
-        census._node_value(3, 2)
+def fraction_node_value(n: int, q0: int) -> int:
+    """a_n(q0) from the log/exp recurrence in rationals at one point q = q0.
+
+    log F = sum_k L_k t^k with L_k = sum_{dm=k} 1/N(d, m); F' = (log F)' F
+    gives j b_j = sum_{k=1..j} k L_k b_{j-k}, and a_n(q0) = b_n(q0) |GL_n(q0)|.
+    """
+    k_log = [Fraction(0)] * (n + 1)  # k * L_k(q0)
+    for d in range(1, n + 1):
+        for m in range(1, n // d + 1):
+            k_log[d * m] += Fraction(d * m, block_normalizer(d, m).num.eval_int(q0))
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(sum(k_log[k] * b[j - k] for k in range(1, j + 1)) / j)
+    value = b[n] * gl_order(n).eval_int(q0)
+    assert value.denominator == 1
+    return value.numerator
+
+
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("q0", [2, 3, 7])
+def test_a_polynomial_matches_the_rational_recurrence(n, q0):
+    assert a_polynomial(n).eval_int(q0) == fraction_node_value(n, q0)
 
 
 def test_gl_order():
@@ -159,7 +200,7 @@ def test_a_polynomial_table1():
 
 
 def test_a_polynomial_shape():
-    for n in (*range(1, 11), 16):
+    for n in (*range(1, 11), 16, 20):
         poly = a_polynomial(n)
         assert poly.degree == n * n - n
         assert poly.leading == 1

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from glcensus import census, cli, clique, exactalg, qseries
+from glcensus import asympt, census, cli, clique, exactalg, qseries
 
 
 def run_cli(capsys, *argv):
@@ -82,12 +83,37 @@ def test_verify_fast_passes(capsys):
     ["oracle", "--n", "-1", "--q", "2", "--task", "centralizer-count"],
     ["oracle", "--n", "-1", "--q", "2", "--task", "regular-unipotent"],
     ["oracle", "--n", "0", "--q", "2", "--task", "jm-check"],
+    ["oracle", "--n", "2"],  # usage errors: missing --q and --task
+    ["census", "--n", "x"],
+    ["oracle", "--n", "2", "--q", "3", "--task", "nope"],
+    ["nope"],
+    ["clique", "omega", "--n", "2", "--q", "2", "--timeout", "-1"],
+    ["clique", "omega", "--n", "2", "--q", "2", "--timeout", "nan"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
     assert "Traceback" not in out + err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--help"])
+    assert exc.value.code == 0
+    assert "--n" in capsys.readouterr().out
+
+
+def test_limit_lq_q2_default_terms_prints_hex_endpoints(capsys):
+    code, out, _ = run_cli(capsys, "limit", "lq", "--q", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["terms"] == 30
+    assert payload["decimal_lo"] == "278.984776098226"
+    iv = asympt.l_of_q(2, 30)
+    for key, exact in (("lo", iv.lo), ("hi", iv.hi)):
+        num, den = payload[key].split("/")
+        assert Fraction(int(num, 16), int(den, 16)) == exact
 
 
 @pytest.mark.parametrize("n,task", [(-1, "regular-unipotent"), (0, "jm-check"),

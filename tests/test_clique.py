@@ -217,6 +217,12 @@ def test_zero_time_budget_stops_at_the_first_node():
     assert verify_clique(graph, res.witness)
 
 
+@pytest.mark.parametrize("limits", [{"seconds": -1.0}, {"seconds": float("nan")}, {"steps": -1}])
+def test_solver_budget_rejects_negative_and_nan_limits(limits):
+    with pytest.raises(ValueError):
+        SolverBudget(**limits)
+
+
 def recursive_max_clique(graph, seed=(), upper=None, budget=None):
     """The former recursive branch and bound, kept as the reference for the
     explicit-stack search: returns (size, steps, witness, optimal)."""
