@@ -16,6 +16,19 @@ so log(tail) <= S_K / (1 - x^(K+1)) with
     S_K = sum_{k>K} (k(k+1)/2 + 1) x^k,
 which has a closed form via sum_k C(k+1,2) x^k = x/(1-x)^3.  Finally
 exp(y) <= 1/(1-y) for 0 <= y < 1 keeps everything rational.
+
+Lower endpoint: with q = a/b in lowest terms and e_k = k(k+1)/2 + 1, each
+factor (1 - q^-k)^(-e_k) is (a^k / (a^k - b^k))^(e_k), so the partial product
+over k <= K is the integer pair
+
+    a^P / D,   P = sum_k k e_k,   D = prod_k (a^k - b^k)^(e_k),
+
+with D formed as a balanced product tree.  The pair is already in lowest
+terms: gcd(a^k - b^k, a) = gcd(b^k, a) = 1, hence gcd(a^P, D) = 1.  One
+unbalanced gcd(a, D) == 1 certifies that, in place of the big-integer gcds
+that reducing a^P / D (or a loop of Fraction divisions) would spend; a
+failure is a ConsistencyError.  Only hi = lo / (1 - log bound) goes through
+Fraction arithmetic, against a small operand.
 """
 
 from __future__ import annotations
@@ -24,9 +37,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from glcensus.census import b_coefficient
+from glcensus.census import ConsistencyError, b_coefficient
 
 DEFAULT_TERMS = 30
+# lo = a^P / D is refused before it is built when a^P would exceed this many
+# bits: l_of_q(2, 100) carries 12.9M bits and takes about 8 s, and the size
+# grows like terms^4, so an unchecked --terms could exhaust memory.
+MAX_ENDPOINT_BITS = 1 << 24
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -63,12 +80,38 @@ def _exponent(k: int) -> int:
     return k * (k + 1) // 2 + 1
 
 
+def _power_fraction(base: int, power: int, den: int) -> Fraction:
+    """base**power / den as a Fraction, certified in lowest terms by gcd(base, den) == 1.
+
+    Since gcd(base, den) == 1 implies gcd(base**power, den) == 1, the pair is
+    stored as it is, the way CPython 3.12's Fraction._from_coprime_ints does,
+    with no gcd on the large operands.  A positive den is required too.
+    """
+    if den < 1 or math.gcd(base, den) != 1:
+        raise ConsistencyError(f"{base}^{power} / den is not in lowest terms")
+    out = super(Fraction, Fraction).__new__(Fraction)
+    out._numerator = base**power
+    out._denominator = den
+    return out
+
+
+def _product_tree(factors: list[int]) -> int:
+    """Product of the factors, multiplied pairwise so operand sizes stay balanced."""
+    while len(factors) > 1:
+        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(pairs) * 2:]
+    return factors[0]
+
+
 def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     """Certified interval for the limit of q^n b_n, from a K-term product.
 
-    lo is the exact partial product over k <= terms; hi multiplies in the
-    rational tail bound described in the module docstring.  Widths shrink
-    monotonically as terms grows.
+    lo is the exact partial product over k <= terms, built as the coprime
+    integer pair a^P / D described in the module docstring; hi multiplies in
+    the rational tail bound.  Widths shrink monotonically as terms grows.
+    Raises DivergenceError for q <= 1 or a tail bound >= 1, ValueError for
+    terms < 1 or for a^P over MAX_ENDPOINT_BITS bits, and ConsistencyError if
+    a^P / D fails its lowest-terms check.
     """
     q = Fraction(q)
     if q <= 1:
@@ -76,18 +119,24 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     if terms < 1:
         raise ValueError("need at least one product term")
     x = 1 / q
-    partial = Fraction(1)
     partial_quadratic = Fraction(0)  # sum_{k<=K} C(k+1,2) x^k
     xk = Fraction(1)
     for k in range(1, terms + 1):
         xk *= x
-        partial /= (1 - xk) ** _exponent(k)
         partial_quadratic += math.comb(k + 1, 2) * xk
     # S_K = sum_{k>K} (C(k+1,2) + 1) x^k, in closed form
     tail_sum = (x / (1 - x) ** 3 - partial_quadratic) + xk * x / (1 - x)
     log_bound = tail_sum / (1 - xk * x)
     if log_bound >= 1:
         raise DivergenceError("tail bound too large; increase the number of terms")
+    a, b = q.numerator, q.denominator
+    power = sum(k * _exponent(k) for k in range(1, terms + 1))
+    bits = power * math.log2(a)
+    if bits > MAX_ENDPOINT_BITS:
+        raise ValueError(f"{terms} terms give endpoints of about {bits:.3g} bits, "
+                         f"over the limit of {MAX_ENDPOINT_BITS}; use fewer terms")
+    den = _product_tree([(a**k - b**k) ** _exponent(k) for k in range(1, terms + 1)])
+    partial = _power_fraction(a, power, den)
     return RatInterval(partial, partial / (1 - log_bound))
 
 

@@ -117,7 +117,20 @@ def enumerate_phi(n: int) -> tuple[MuFunction, ...]:
 
 
 def phi_count(n: int) -> int:
-    return len(enumerate_phi(n))
+    """Number of weight functions of total weight n, without listing them.
+
+    It is the t^n coefficient of prod_k (1 - t^k)^(-tau(k)), tau(k) the
+    number of pairs (d, m) with dm = k: each factor 1/(1 - t^k) is one
+    in-place pass c[j] += c[j-k].
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(sum(1 for d in range(1, k + 1) if k % d == 0)):
+            for j in range(k, n + 1):
+                coeffs[j] += coeffs[j - k]
+    return coeffs[n]
 
 
 def normalizer_order(mu: MuFunction) -> RationalFunction:

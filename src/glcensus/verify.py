@@ -122,7 +122,7 @@ def check_fbar_vs_class_sum() -> tuple[str, str]:
     ]
     status, detail = _fail_list(bad)
     return status, detail or (
-        "exp-form coefficients equal the class sums and the interpolated b_n for n<=12"
+        "exp-form coefficients equal the class sums and the recurrence-built b_n for n<=12"
     )
 
 

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,15 +7,104 @@ import pytest
 from glcensus.asympt import (
     HOLDS,
     INCONCLUSIVE,
+    MAX_ENDPOINT_BITS,
     DivergenceError,
     RatInterval,
+    _power_fraction,
     check_estimates,
     convergence_report,
     exp_interval,
     fraction_to_decimal,
     l_of_q,
 )
-from glcensus.census import b_coefficient
+from glcensus.census import ConsistencyError, b_coefficient
+
+
+# Reference for l_of_q: the partial product as a loop of Fraction divisions,
+# each one reduced by big-integer gcds.  l_of_q builds the same lo as one
+# coprime integer pair; both must give the same reduced endpoints and raise
+# the same errors.
+def fraction_loop_l_of_q(q, terms):
+    q = Fraction(q)
+    if q <= 1:
+        raise DivergenceError("the product diverges for q <= 1")
+    if terms < 1:
+        raise ValueError("need at least one product term")
+    x = 1 / q
+    partial = Fraction(1)
+    partial_quadratic = Fraction(0)
+    xk = Fraction(1)
+    for k in range(1, terms + 1):
+        xk *= x
+        partial /= (1 - xk) ** (k * (k + 1) // 2 + 1)
+        partial_quadratic += math.comb(k + 1, 2) * xk
+    tail_sum = (x / (1 - x) ** 3 - partial_quadratic) + xk * x / (1 - x)
+    log_bound = tail_sum / (1 - xk * x)
+    if log_bound >= 1:
+        raise DivergenceError("tail bound too large; increase the number of terms")
+    return RatInterval(partial, partial / (1 - log_bound))
+
+
+def _outcome(fn, q, terms):
+    try:
+        iv = fn(q, terms)
+    except ValueError as err:  # DivergenceError is a ValueError
+        return type(err), str(err)
+    return [(end.numerator, end.denominator) for end in (iv.lo, iv.hi)]
+
+
+GRID_Q = (2, 3, 4, 5, 7, 8, 9, Fraction(3, 2), Fraction(5, 2), Fraction(7, 3),
+          Fraction(11, 10), Fraction(101, 100))
+
+
+# terms = 45 costs the reference loop 0.6 s at q = 2 and up to 7 s at q = 9,
+# so the deepest row runs at q = 2 only.
+@pytest.mark.parametrize("q, terms", [(q, t) for q in GRID_Q for t in (1, 2, 3, 5, 12, 30)]
+                         + [(2, 45)], ids=str)
+def test_l_of_q_endpoints_equal_the_fraction_loop(q, terms):
+    assert _outcome(l_of_q, q, terms) == _outcome(fraction_loop_l_of_q, q, terms)
+
+
+@pytest.mark.parametrize("q, terms", [
+    (1, 10), (Fraction(1, 2), 10), (0, 10), (-3, 10),  # q <= 1
+    (2, 0), (3, -1),  # terms < 1
+    (2, 1), (Fraction(3, 2), 12), (Fraction(101, 100), 5),  # tail bound >= 1
+    (1, 0),  # q is checked before terms
+], ids=str)
+def test_l_of_q_raises_what_the_fraction_loop_raises(q, terms):
+    expected = _outcome(fraction_loop_l_of_q, q, terms)
+    assert isinstance(expected, tuple)
+    assert _outcome(l_of_q, q, terms) == expected
+
+
+def test_l_of_q_refuses_endpoints_over_the_size_limit():
+    assert MAX_ENDPOINT_BITS > l_of_q(2, 60).lo.numerator.bit_length()
+    for q, terms in ((2, 110), (3, 1000), (Fraction(5, 2), 100)):
+        with pytest.raises(ValueError, match="over the limit"):
+            l_of_q(q, terms)
+
+
+def test_power_fraction_equals_the_reduced_fraction():
+    rng = random.Random(9)
+    for _ in range(300):
+        num = rng.randrange(-10**30, 10**30)
+        den = rng.randrange(1, 10**30)
+        if math.gcd(num, den) != 1:
+            continue
+        power = rng.randrange(1, 4)
+        got, want = _power_fraction(num, power, den), Fraction(num**power, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)
+        other = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
+        assert (got < other) == (want < other) and (other < got) == (other < want)
+    assert _power_fraction(7, 0, 5) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("base, power, den", [(6, 1, 4), (2, 5, 6), (3, 2, 0), (3, 1, -2)])
+def test_power_fraction_rejects_a_pair_not_in_lowest_terms(base, power, den):
+    with pytest.raises(ConsistencyError):
+        _power_fraction(base, power, den)
 
 
 def test_l2_certified_bracket():

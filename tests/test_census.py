@@ -64,7 +64,9 @@ def test_phi_2_three_classes_in_canonical_order():
 def test_phi_counts_against_euler_transform():
     oracle = euler_transform_counts(12)
     assert [phi_count(n) for n in range(13)] == oracle
+    assert [len(enumerate_phi(n)) for n in range(13)] == oracle
     assert phi_count(4) == 11
+    assert phi_count(30) == 451402
 
 
 def test_phi_weights_and_uniqueness():

@@ -1,5 +1,5 @@
-"""Every imported name is used: an unused-import check on the package and
-the tests, with the standard library's ``ast`` only, since no linter is a
+"""Every imported name is used: an unused-import check on the package, the
+tests and the scripts, with the standard library's ``ast`` only, since no linter is a
 dependency of this project."""
 
 import ast
@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "glcensus").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [path for part in ("src/glcensus", "tests", "scripts")
+           for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
