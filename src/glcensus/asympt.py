@@ -42,7 +42,7 @@ from glcensus.census import ConsistencyError, b_coefficient
 DEFAULT_TERMS = 30
 # lo = a^P / D is refused before it is built when a^P would exceed this many
 # bits: l_of_q(2, 100) carries 12.9M bits and takes about 8 s, and the size
-# grows like terms^4, so an unchecked --terms could exhaust memory.
+# grows like terms^4, so an unchecked number of terms could exhaust memory.
 MAX_ENDPOINT_BITS = 1 << 24
 
 HOLDS = "holds"
