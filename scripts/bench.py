@@ -10,14 +10,15 @@ same benchmark code; the script refuses otherwise, and it never writes under
 ``perfbench/``.  Runs interleave: for each seed and workload every side runs
 once, and the order of the sides alternates from one seed to the next.
 
-Every run uses ``--trace 0`` and gives the end-to-end metrics.  The first
-``--traced`` seeds also get a ``--trace 1`` run per side and workload, which
-gives the per-layer metrics.  The output has one entry per side, workload and
-metric, with the median and quartiles over the runs, the run count, the
-values in run order, the side's git sha and ``nproc``.  With two sides it
-also counts, per workload and metric, the seeds on which the second side
-read better than the first (ties count for neither), using the direction
-``BENCHMARK.json`` gives for the metric.
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``, uses ``--trace 0`` and
+gives the end-to-end metrics.  The first ``TRACED_SEEDS`` seeds also get a
+``--trace 1`` run per side and workload, which gives the per-layer metrics.
+The output has one entry per side, workload and metric, with the median and
+quartiles over the runs, the run count, the values in run order, the side's
+git sha and ``nproc``.  With two sides it also counts, per workload and
+metric, the seeds on which the second side read better than the first (ties
+count for neither), using the direction ``BENCHMARK.json`` gives for the
+metric.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_SEEDS = 2  # how many of the seeds also get a traced run
 
 
 def perfbench_digest(checkout: Path) -> str:
@@ -85,9 +87,6 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--side", action="append", required=True, metavar="NAME=DIR")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    parser.add_argument("--traced", type=int, default=1,
-                        help="how many of the seeds also get a traced run (default 1)")
     args = parser.parse_args()
 
     sides = {}
@@ -105,11 +104,11 @@ def main() -> int:
     runs: dict[tuple[str, str, int], list[dict]] = {}
     for i, seed in enumerate(args.seeds):
         order = names if i % 2 == 0 else names[::-1]
-        traces = (0, 1) if i < args.traced else (0,)
+        traces = (0, 1) if i < TRACED_SEEDS else (0,)
         for workload in workloads:
             for trace in traces:
                 for name in order:
-                    result = run_perfbench(sides[name], workload, seed, args.seconds, trace)
+                    result = run_perfbench(sides[name], workload, seed, spec["run_seconds"], trace)
                     runs.setdefault((name, workload, trace), []).append(result)
                     print(f"{name} {workload} seed={seed} trace={trace} correct={result['correct']}",
                           file=sys.stderr)
@@ -128,7 +127,8 @@ def main() -> int:
                 "sha": shas[name], "nproc": nproc,
             })
     report: dict = {
-        "seconds": args.seconds, "seeds": args.seeds, "traced_seeds": args.seeds[:args.traced],
+        "seconds": spec["run_seconds"], "seeds": args.seeds,
+        "traced_seeds": args.seeds[:TRACED_SEEDS],
         "perfbench_sha256": digests[names[0]], "nproc": nproc,
         "sides": shas,
         "entries": entries,

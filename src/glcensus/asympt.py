@@ -40,10 +40,6 @@ from fractions import Fraction
 from glcensus.census import ConsistencyError, b_coefficient
 
 DEFAULT_TERMS = 30
-# lo = a^P / D is refused before it is built when a^P would exceed this many
-# bits: l_of_q(2, 100) carries 12.9M bits and takes about 8 s, and the size
-# grows like terms^4, so an unchecked number of terms could exhaust memory.
-MAX_ENDPOINT_BITS = 1 << 24
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -110,8 +106,7 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     integer pair a^P / D described in the module docstring; hi multiplies in
     the rational tail bound.  Widths shrink monotonically as terms grows.
     Raises DivergenceError for q <= 1 or a tail bound >= 1, ValueError for
-    terms < 1 or for a^P over MAX_ENDPOINT_BITS bits, and ConsistencyError if
-    a^P / D fails its lowest-terms check.
+    terms < 1, and ConsistencyError if a^P / D fails its lowest-terms check.
     """
     q = Fraction(q)
     if q <= 1:
@@ -131,10 +126,6 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
         raise DivergenceError("tail bound too large; increase the number of terms")
     a, b = q.numerator, q.denominator
     power = sum(k * _exponent(k) for k in range(1, terms + 1))
-    bits = power * math.log2(a)
-    if bits > MAX_ENDPOINT_BITS:
-        raise ValueError(f"{terms} terms give endpoints of about {bits:.3g} bits, "
-                         f"over the limit of {MAX_ENDPOINT_BITS}; use fewer terms")
     den = _product_tree([(a**k - b**k) ** _exponent(k) for k in range(1, terms + 1)])
     partial = _power_fraction(a, power, den)
     return RatInterval(partial, partial / (1 - log_bound))

@@ -120,17 +120,24 @@ def phi_count(n: int) -> int:
     """Number of weight functions of total weight n, without listing them.
 
     It is the t^n coefficient of prod_k (1 - t^k)^(-tau(k)), tau(k) the
-    number of pairs (d, m) with dm = k: each factor 1/(1 - t^k) is one
-    in-place pass c[j] += c[j-k].
+    number of pairs (d, m) with dm = k.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs = [1] + [0] * n
-    for k in range(1, n + 1):
-        for _ in range(sum(1 for d in range(1, k + 1) if k % d == 0)):
-            for j in range(k, n + 1):
+    return _euler_coeffs(n + 1, lambda k: sum(1 for d in range(1, k + 1) if k % d == 0))[n]
+
+
+def _euler_coeffs(length: int, multiplicity) -> list[int]:
+    """First `length` coefficients of prod_{k>=1} (1 - t^k)^(-multiplicity(k)).
+
+    Each factor 1/(1 - t^k) is one in-place pass c[j] += c[j-k].
+    """
+    coeffs = [1] + [0] * (length - 1)
+    for k in range(1, length):
+        for _ in range(multiplicity(k)):
+            for j in range(k, length):
                 coeffs[j] += coeffs[j - k]
-    return coeffs[n]
+    return coeffs
 
 
 def normalizer_order(mu: MuFunction) -> RationalFunction:
@@ -308,18 +315,11 @@ def stabilized_prefix(n: int) -> list[int]:
     """Leading coefficients shared by every census polynomial of index >= n.
 
     Returns the first floor(n/2) coefficients of the series expansion of
-    prod_{k>=1} (1 - x^k)^(-k(k+1)/2): each factor 1/(1 - x^k) is one
-    in-place pass c[j] += c[j-k].
+    prod_{k>=1} (1 - x^k)^(-k(k+1)/2).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    count = n // 2
-    coeffs = [1] + [0] * (count - 1)
-    for k in range(1, count):
-        for _ in range(k * (k + 1) // 2):
-            for j in range(k, count):
-                coeffs[j] += coeffs[j - k]
-    return coeffs
+    return _euler_coeffs(n // 2, lambda k: k * (k + 1) // 2)
 
 
 def check_prime_power(q: int) -> tuple[int, int]:

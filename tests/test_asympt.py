@@ -7,7 +7,6 @@ import pytest
 from glcensus.asympt import (
     HOLDS,
     INCONCLUSIVE,
-    MAX_ENDPOINT_BITS,
     DivergenceError,
     RatInterval,
     _power_fraction,
@@ -75,13 +74,6 @@ def test_l_of_q_raises_what_the_fraction_loop_raises(q, terms):
     expected = _outcome(fraction_loop_l_of_q, q, terms)
     assert isinstance(expected, tuple)
     assert _outcome(l_of_q, q, terms) == expected
-
-
-def test_l_of_q_refuses_endpoints_over_the_size_limit():
-    assert MAX_ENDPOINT_BITS > l_of_q(2, 60).lo.numerator.bit_length()
-    for q, terms in ((2, 110), (3, 1000), (Fraction(5, 2), 100)):
-        with pytest.raises(ValueError, match="over the limit"):
-            l_of_q(q, terms)
 
 
 def test_power_fraction_equals_the_reduced_fraction():

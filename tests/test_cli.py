@@ -73,7 +73,6 @@ def test_verify_fast_passes(capsys):
     ["oracle", "--n", "2", "--q", "2", "--task", "remark-matrix"],
     ["clique", "omega", "--n", "2", "--q", "3", "--budget", "10"],
     ["limit", "lq", "--q", "1/0"],  # zero denominator
-    ["limit", "lq", "--q", "2", "--terms", "1000"],  # endpoints over the size limit
     ["limit", "check", "--q", "1/0"],
     ["series", "expand", "--which", "fbar", "--order", "-1"],
     ["series", "expand", "--which", "f2", "--order", "-1"],
