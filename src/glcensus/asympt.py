@@ -13,8 +13,9 @@ strings.
 Tail bound: each neglected factor satisfies
     -log(1 - x^k) <= x^k / (1 - x^(K+1))        (k > K, x = 1/q),
 so log(tail) <= S_K / (1 - x^(K+1)) with
-    S_K = sum_{k>K} (k(k+1)/2 + 1) x^k,
-which has a closed form via sum_k C(k+1,2) x^k = x/(1-x)^3.  Finally
+    S_K = sum_{k>K} (C(k+1,2) + 1) x^k
+        = x^(K+1) ((C(K+2,2) + 1)/(1-x) + (K+2) x/(1-x)^2 + x^2/(1-x)^3),
+from C(K+2+j, 2) = C(K+2,2) + (K+2) j + C(j,2) summed over j >= 0.  Finally
 exp(y) <= 1/(1-y) for 0 <= y < 1 keeps everything rational.
 
 Lower endpoint: with q = a/b in lowest terms and e_k = k(k+1)/2 + 1, each
@@ -60,9 +61,6 @@ class RatInterval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError("empty interval")
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     @property
     def width(self) -> Fraction:
@@ -114,14 +112,11 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     if terms < 1:
         raise ValueError("need at least one product term")
     x = 1 / q
-    partial_quadratic = Fraction(0)  # sum_{k<=K} C(k+1,2) x^k
-    xk = Fraction(1)
-    for k in range(1, terms + 1):
-        xk *= x
-        partial_quadratic += math.comb(k + 1, 2) * xk
+    y = 1 - x
+    x_next = x ** (terms + 1)
     # S_K = sum_{k>K} (C(k+1,2) + 1) x^k, in closed form
-    tail_sum = (x / (1 - x) ** 3 - partial_quadratic) + xk * x / (1 - x)
-    log_bound = tail_sum / (1 - xk * x)
+    tail_sum = x_next * ((math.comb(terms + 2, 2) + 1) / y + (terms + 2) * x / y**2 + x**2 / y**3)
+    log_bound = tail_sum / (1 - x_next)
     if log_bound >= 1:
         raise DivergenceError("tail bound too large; increase the number of terms")
     a, b = q.numerator, q.denominator

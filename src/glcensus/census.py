@@ -32,8 +32,12 @@ forms of the generating function from it too.  _denominator_shape, which
 class_sum uses, encodes the same normaliser independently as a q-power,
 (q^d - 1)-exponents and an integer, so the cross-check does not share it.
 
-All values are exact rational functions of the formal symbol q; nothing here
-depends on a specific field size until an evaluation point is supplied.
+All values are exact and in the formal symbol q: the normaliser orders,
+|GL_n| and a_n are IntPolynomials, and b_n is a reduced RationalFunction.
+Nothing here depends on a specific field size until an evaluation point is
+supplied.  euler_table expands the Euler products
+prod (1 - u^s t^m)^(-e) in integers; the class counts, the stabilised
+prefix and the product forms in qseries all use it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from glcensus.exactalg import (
     IntPolynomial,
     RationalFunction,
     make_rf,
-    rf_from_poly,
 )
 
 
@@ -96,7 +99,6 @@ def enumerate_phi(n: int) -> tuple[MuFunction, ...]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     labels = [(d, m) for d in range(1, n + 1) for m in range(1, n // d + 1)]
-    labels.sort()
     out: list[MuFunction] = []
 
     def descend(idx: int, remaining: int, acc: list) -> None:
@@ -107,12 +109,13 @@ def enumerate_phi(n: int) -> tuple[MuFunction, ...]:
             return
         d, m = labels[idx]
         step = d * m
-        descend(idx + 1, remaining, acc)
+        # labels ascend, so taking this one before skipping it emits the
+        # functions in ascending order
         for mult in range(1, remaining // step + 1):
             descend(idx + 1, remaining - mult * step, acc + [((d, m), mult)])
+        descend(idx + 1, remaining, acc)
 
     descend(0, n, [])
-    out.sort()
     return tuple(out)
 
 
@@ -124,47 +127,49 @@ def phi_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _euler_coeffs(n + 1, lambda k: sum(1 for d in range(1, k + 1) if k % d == 0))[n]
+    factors = [(k, 0, sum(1 for d in range(1, k + 1) if k % d == 0)) for k in range(1, n + 1)]
+    return euler_table(n + 1, 0, factors)[n][0]
 
 
-def _euler_coeffs(length: int, multiplicity) -> list[int]:
-    """First `length` coefficients of prod_{k>=1} (1 - t^k)^(-multiplicity(k)).
+def euler_table(length: int, u_order: int, factors) -> list[list[int]]:
+    """prod (1 - u^s t^m)^(-e) over the (m, s, e) in factors, truncated at
+    t^(length-1) and u^u_order, as one integer table F[t-degree][u-degree].
 
-    Each factor 1/(1 - t^k) is one in-place pass c[j] += c[j-k].
+    Dividing by (1 - u^s t^m) is F_j += u^s F_(j-m) for ascending j, each
+    F_(j-m) already divided: a shift and an add, e times per factor.
     """
-    coeffs = [1] + [0] * (length - 1)
-    for k in range(1, length):
-        for _ in range(multiplicity(k)):
-            for j in range(k, length):
-                coeffs[j] += coeffs[j - k]
-    return coeffs
+    table = [[0] * (u_order + 1) for _ in range(length)]
+    table[0][0] = 1
+    for m, s, e in factors:
+        for _ in range(e):
+            for j in range(m, length):
+                table[j][s:] = [a + b for a, b in zip(table[j][s:], table[j - m])]
+    return table
 
 
-def normalizer_order(mu: MuFunction) -> RationalFunction:
+def normalizer_order(mu: MuFunction) -> IntPolynomial:
     """Order of the decomposition-preserving normaliser of the class A_mu.
 
     The block with parameters (d, m) contributes d*(1 - q^-d)*q^d when m = 1
     and d*(1 - q^-d)^2*q^(2dm-d) when m > 1, raised to the multiplicity, and
-    repeated blocks contribute a factorial.  The result is always an integer
-    polynomial in q (wrapped as a RationalFunction).
+    repeated blocks contribute a factorial.  The result is an integer
+    polynomial in q.
     """
-    result = RF_ONE
+    result = ONE_POLY
     for (d, m), mult in mu.items:
-        base = block_normalizer(d, m)
-        result = result * base ** mult
-        result = result * make_rf(IntPolynomial.const(math.factorial(mult)), ONE_POLY)
+        result = (result * block_normalizer(d, m) ** mult).scale(math.factorial(mult))
     return result
 
 
 @lru_cache(maxsize=None)
-def block_normalizer(d: int, m: int) -> RationalFunction:
+def block_normalizer(d: int, m: int) -> IntPolynomial:
     """N(d, m): the normaliser order of one block, d(q^d-1) when m = 1 and
-    d(q^d-1)^2 q^(d(2m-3)) when m > 1, as a polynomial RationalFunction."""
+    d(q^d-1)^2 q^(d(2m-3)) when m > 1."""
     qd_minus_1 = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
     if m == 1:
-        return rf_from_poly(qd_minus_1.scale(d))
+        return qd_minus_1.scale(d)
     # d*(1-q^-d)^2*q^(2dm-d) = d*(q^d-1)^2*q^(d(2m-3))
-    return rf_from_poly((qd_minus_1 * qd_minus_1).scale(d).shift_up(d * (2 * m - 3)))
+    return (qd_minus_1 * qd_minus_1).scale(d).shift_up(d * (2 * m - 3))
 
 
 def _denominator_shape(mu: MuFunction) -> tuple[int, tuple[tuple[int, int], ...], int]:
@@ -249,12 +254,9 @@ _census: list[IntPolynomial] = [ONE_POLY]
 def _exact_quotient(num: IntPolynomial, den: IntPolynomial, what: str) -> IntPolynomial:
     """num / den in Z[q]; a remainder or a non-integer coefficient is a ConsistencyError."""
     try:
-        quo, rem = num.divmod(den)
+        return num.exact_div(den)
     except ValueError:
-        rem = None
-    if rem is None or not rem.is_zero:
-        raise ConsistencyError(f"{what} is not an integer polynomial")
-    return quo
+        raise ConsistencyError(f"{what} is not an integer polynomial") from None
 
 
 def a_polynomial(n: int) -> IntPolynomial:
@@ -277,7 +279,7 @@ def a_polynomial(n: int) -> IntPolynomial:
             for d in range(1, k + 1):
                 if k % d == 0:
                     weight = weight + _exact_quotient(
-                        ratio, block_normalizer(d, k // d).num,
+                        ratio, block_normalizer(d, k // d),
                         f"the ({d},{k // d}) term of w_{j},{k}")
             total = total + weight * a[j - k]
         poly = _exact_quotient(total, IntPolynomial.const(j), f"{j} a_{j} / {j}")
@@ -300,7 +302,7 @@ def omega_closed(n: int, q: int) -> int:
     if q > n:
         value = a_polynomial(n).eval(q)
     elif q == n and q > 2:
-        correction = Fraction(gl_order(q).eval_int(q), (q - 1) ** q * math.factorial(q))
+        correction = Fraction(gl_order(q).eval(q), (q - 1) ** q * math.factorial(q))
         value = a_polynomial(n).eval(q) - correction
     else:
         raise UnsupportedRegimeError(
@@ -319,7 +321,9 @@ def stabilized_prefix(n: int) -> list[int]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _euler_coeffs(n // 2, lambda k: k * (k + 1) // 2)
+    length = n // 2
+    factors = [(k, 0, k * (k + 1) // 2) for k in range(1, length)]
+    return [row[0] for row in euler_table(length, 0, factors)]
 
 
 def check_prime_power(q: int) -> tuple[int, int]:

@@ -51,7 +51,7 @@ def cmd_census(args) -> int:
     if args.q is not None:
         q = args.q
         census.check_prime_power(q)
-        value = a_poly.eval_int(q)
+        value = a_poly.eval(q)
         regime = "exact count" if q > 2 else "upper bound"
         payload["q"] = q
         payload["subgroup_count"] = {"value": str(value), "regime": regime}

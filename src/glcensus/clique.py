@@ -160,7 +160,7 @@ def covering_upper_bound(n: int, q: int) -> int:
     q = n > 2 value.  Elsewhere raises, and the solver runs unbounded.
     """
     if q > n:
-        return a_polynomial(n).eval_int(q)
+        return a_polynomial(n).eval(q)
     if q == n and q > 2:
         return omega_closed(n, q)
     raise UnsupportedRegimeError(

@@ -16,11 +16,13 @@ rationals, the pair carries no common integer content, and den has positive
 leading coefficient.  Two arithmetic routes to the same value therefore
 produce bit-identical objects.
 
-Polynomial gcds are computed with the evaluation-homomorphism heuristic
-(reconstruct the gcd from a single big-integer gcd), using an evaluation
-point large enough that a successful trial division certifies the result;
-a primitive-remainder-sequence fallback covers the retry path.  No floating
-point is used anywhere in this module.
+Division runs in one loop, IntPolynomial.divmod, and IntPolynomial.exact_div
+is the one check that a division leaves no remainder.  Polynomial gcds are
+computed with the evaluation-homomorphism heuristic (reconstruct the gcd from
+a single big-integer gcd), using an evaluation point large enough that a
+successful exact_div certifies the result; a primitive-remainder-sequence
+fallback covers the retry path.  No floating point is used anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -120,17 +122,16 @@ class IntPolynomial:
             k >>= 1
         return result
 
-    def eval(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_int(self, x: int) -> int:
+    def eval(self, x: Fraction | int) -> Fraction | int:
+        """Horner's rule: an int at an int point, a Fraction at a Fraction point."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    # the same function under its former name, which the benchmark's
+    # reference builder (perfbench/make_reference.py) still calls
+    eval_int = eval
 
     def content(self) -> int:
         """gcd of the coefficients (0 for the zero polynomial)."""
@@ -153,9 +154,9 @@ class IntPolynomial:
 
         Raises ValueError unless both are representable with integer
         coefficients, which is the only case this package needs (exact
-        division and divisibility tests of primitive polynomials).  Every
-        quotient coefficient is an integer exactly when each step's division
-        by the leading coefficient is, so the work stays in integers.
+        divisions and pseudo-remainders).  Every quotient coefficient is an
+        integer exactly when each step's division by the leading coefficient
+        is, so the work stays in integers.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -172,19 +173,6 @@ class IntPolynomial:
                 for j, bc in enumerate(other.coeffs):
                     rem[i + j] -= c * bc
         return IntPolynomial(_trim(quo)), IntPolynomial(_trim(rem))
-
-    def divides(self, other: IntPolynomial) -> bool:
-        if self.is_zero:
-            return other.is_zero
-        if other.is_zero:
-            return True
-        if other.degree < self.degree:
-            return False
-        try:
-            _, rem = other.divmod(self)
-        except ValueError:
-            return False
-        return rem.is_zero
 
     def exact_div(self, other: IntPolynomial) -> IntPolynomial:
         quo, rem = self.divmod(other)
@@ -232,14 +220,8 @@ def _poly_gcd_prs(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         if da < db:
             a, b = b, a
             continue
-        rem = list(a.scale(b.leading ** (da - db + 1)).coeffs)
-        for i in range(da - db, -1, -1):
-            c, r = divmod(rem[i + db], b.leading)
-            assert r == 0
-            if c:
-                for j, bc in enumerate(b.coeffs):
-                    rem[i + j] -= c * bc
-        a, b = b, IntPolynomial(_trim(rem)).primitive()
+        rem = a.scale(b.leading ** (da - db + 1)).divmod(b)[1]
+        a, b = b, rem.primitive()
     if a.leading < 0:
         a = -a
     return a
@@ -291,14 +273,15 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     bound = (_norm1(a) + 1) << (a.degree + 2)
     xi = max(bound, 4)
     for _ in range(4):
-        va, vb = a.eval_int(xi), b.eval_int(xi)
-        g = math.gcd(va, vb)
-        if g:
-            cand = _reconstruct(g, xi).primitive()
-            if not cand.is_zero and cand.divides(a) and cand.divides(b):
-                if cand.leading < 0:
-                    cand = -cand
-                return cand.shift_up(shift)
+        cand = _reconstruct(math.gcd(a.eval(xi), b.eval(xi)), xi).primitive()
+        if not cand.is_zero:
+            try:
+                a.exact_div(cand)
+                b.exact_div(cand)
+            except ValueError:
+                pass
+            else:
+                return (-cand if cand.leading < 0 else cand).shift_up(shift)
         xi = xi * 3 + 1
     return _poly_gcd_prs(a, b).shift_up(shift)
 
@@ -359,23 +342,11 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return self * RationalFunction(other.den, other.num)
 
-    def __pow__(self, k: int) -> RationalFunction:
-        if k < 0:
-            return RF_ONE / (self ** (-k))
-        result = RF_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def eval(self, q0: Fraction | int) -> Fraction:
         d = self.den.eval(q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return self.num.eval(q0) / d
+        return Fraction(self.num.eval(q0), d)
 
     def __str__(self) -> str:
         if self.is_polynomial:
@@ -400,10 +371,6 @@ def make_rf(num: IntPolynomial, den: IntPolynomial) -> RationalFunction:
     if den.leading < 0:
         num, den = -num, -den
     return RationalFunction(num, den)
-
-
-def rf_from_poly(p: IntPolynomial) -> RationalFunction:
-    return RationalFunction(p, ONE_POLY) if not p.is_zero else RF_ZERO
 
 
 def rf_from_fraction(x: Fraction | int) -> RationalFunction:

@@ -60,6 +60,12 @@ class Budget:
     elements: int = 200_000
     steps: int = 1_000_000_000
 
+    def __post_init__(self) -> None:
+        if self.elements < 0:
+            raise ValueError(f"element budget must be nonnegative, got {self.elements}")
+        if self.steps < 0:
+            raise ValueError(f"step budget must be nonnegative, got {self.steps}")
+
 
 DEFAULT_BUDGET = Budget()
 
@@ -358,7 +364,7 @@ class GLGroup:
         self.n = n
         self.q = q
         self.field = get_field(q)
-        self.order = gl_order(n).eval_int(q)
+        self.order = gl_order(n).eval(q)
         p, e = self.field.p, self.field.e
         d = n * e
         # _blocks[a] is the matrix of multiplication by a: column j holds the
@@ -489,7 +495,7 @@ def check_scan_budget(n: int, q: int, task: str, steps_per_element: int | None =
     """
     check_degree(n)
     budget = budget if budget is not None else DEFAULT_BUDGET
-    order = gl_order(n).eval_int(q)
+    order = gl_order(n).eval(q)
     if order > budget.elements:
         raise BudgetError(f"|GL_{n}({q})| exceeds the enumeration budget", order, budget.elements)
     steps = order * (order if steps_per_element is None else steps_per_element)
@@ -569,7 +575,7 @@ def centralizer_count_task(n: int, q: int, budget: Budget | None = None) -> tupl
     """(distinct cyclic centralizers, a_n(q), whether the count equals a_n(q)
     for q > n and is strictly below it otherwise)."""
     count, _ = count_cyclic_centralizers(n, q, budget)
-    value = a_polynomial(n).eval_int(q)
+    value = a_polynomial(n).eval(q)
     return count, value, count == value if q > n else count < value
 
 

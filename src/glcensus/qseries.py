@@ -17,7 +17,7 @@ coefficient.
 The infinite-product forms have finite descriptions only as series in
 u = 1/q.  They are products of factors (1 - u^s t^m)^(-e), so every
 u-coefficient is a nonnegative integer: each product form is one integer
-table built by shifts and adds, tagged USERIES, with one UCoeff record per
+table from census.euler_table, tagged USERIES, with one UCoeff record per
 t-coefficient.  rf_to_useries expands a RATFUNC coefficient in u for the
 comparison.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from glcensus.census import block_normalizer
+from glcensus.census import block_normalizer, euler_table
 from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
@@ -197,24 +197,15 @@ def _exp_form(order: int, multiplicities: range) -> PowerSeries:
     log = [RF_ZERO] * (order + 1)
     for m in multiplicities:
         for d in range(1, order // m + 1):
-            log[d * m] = log[d * m] + RF_ONE / block_normalizer(d, m)
+            log[d * m] = log[d * m] + make_rf(ONE_POLY, block_normalizer(d, m))
     return ps_exp(PowerSeries(order, tuple(log), RATFUNC))
 
 
 def _product_form(order: int, u_order: int, factors) -> PowerSeries:
     """prod (1 - u^s t^m)^(-e) over the (m, s, e) in factors, truncated at
-    t^order and u^u_order, as one integer table F[t-degree][u-degree].
-
-    Dividing by (1 - u^s t^m) is F_j += u^s F_(j-m) for ascending j, each
-    F_(j-m) already divided: a shift and an add.  So every coefficient is a
-    nonnegative int, and no series arithmetic runs.
-    """
-    table = [[0] * (u_order + 1) for _ in range(order + 1)]
-    table[0][0] = 1
-    for m, s, e in factors:
-        for _ in range(e):
-            for j in range(m, order + 1):
-                table[j][s:] = [a + b for a, b in zip(table[j][s:], table[j - m])]
+    t^order and u^u_order: every coefficient is a nonnegative int, and no
+    series arithmetic runs."""
+    table = euler_table(order + 1, u_order, factors)
     return PowerSeries(order, tuple(UCoeff(u_order, tuple(row)) for row in table),
                        USeriesRing(u_order))
 

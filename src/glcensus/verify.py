@@ -79,8 +79,7 @@ def _fail_list(bad: list[str]) -> tuple[str, str]:
 # --- fast checks -------------------------------------------------------------
 
 
-def check_table1(golden_dir=None) -> tuple[str, str]:
-    golden = load_golden("table1.json", golden_dir)
+def check_table1(golden: dict) -> tuple[str, str]:
     bad = []
     for key, coeffs in sorted(golden.items(), key=lambda kv: int(kv[0])):
         n = int(key)
@@ -92,8 +91,7 @@ def check_table1(golden_dir=None) -> tuple[str, str]:
     return status, detail or "census polynomials match the published table for n=1..6"
 
 
-def check_phi_counts(golden_dir=None) -> tuple[str, str]:
-    golden = load_golden("phi_counts.json", golden_dir)
+def check_phi_counts(golden: dict) -> tuple[str, str]:
     bad = [
         f"n={key}: {census.phi_count(int(key))} != {expect}"
         for key, expect in golden.items()
@@ -103,8 +101,7 @@ def check_phi_counts(golden_dir=None) -> tuple[str, str]:
     return status, detail or f"class counts match for n=0..{max(int(k) for k in golden)}"
 
 
-def check_b_goldens(golden_dir=None) -> tuple[str, str]:
-    golden = load_golden("b_rationals.json", golden_dir)
+def check_b_goldens(golden: dict) -> tuple[str, str]:
     bad = []
     for key, data in golden.items():
         n = int(key)
@@ -289,8 +286,7 @@ def check_structural(budget=None) -> tuple[str, str]:
     return status, detail or "centralizer, normalizer and block-minimal-polynomial identities hold"
 
 
-def check_omega(budget=None, solver_budget=None, golden_dir=None) -> tuple[str, str]:
-    golden = load_golden("omega_known.json", golden_dir)
+def check_omega(golden: dict, budget=None, solver_budget=None) -> tuple[str, str]:
     bad = []
     for n, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]:
         result, _ = clique.compute_omega(n, q, budget, solver_budget)
@@ -311,13 +307,19 @@ def verify_all(level: str = "fast", seed: int = 0, golden_dir=None,
     if level not in ("fast", "full"):
         raise ValueError("level must be fast or full")
     report = RunReport(command=command, level=level, seed=seed)
+    # the golden files are read before any check runs, so a golden_dir that
+    # cannot be read raises OSError instead of failing the checks that use it
+    names = ["table1.json", "phi_counts.json", "b_rationals.json"]
+    if level == "full":
+        names.append("omega_known.json")
+    golden = {name: load_golden(name, golden_dir) for name in names}
 
     # every check once, in report order: (id, level, runner); the fast level
     # reports the full-level checks as skipped
     checks = [
-        ("census.table1", "fast", lambda: check_table1(golden_dir)),
-        ("census.phi-counts", "fast", lambda: check_phi_counts(golden_dir)),
-        ("census.b-goldens", "fast", lambda: check_b_goldens(golden_dir)),
+        ("census.table1", "fast", lambda: check_table1(golden["table1.json"])),
+        ("census.phi-counts", "fast", lambda: check_phi_counts(golden["phi_counts.json"])),
+        ("census.b-goldens", "fast", lambda: check_b_goldens(golden["b_rationals.json"])),
         ("series.fbar-vs-class-sum", "fast", check_fbar_vs_class_sum),
         ("series.f1-forms", "fast", check_f1_forms),
         ("series.f2-forms", "fast", check_f2_forms),
@@ -331,7 +333,7 @@ def verify_all(level: str = "fast", seed: int = 0, golden_dir=None,
         ("oracle.centralizer-count", "full", lambda: check_centralizer_count(budget)),
         ("oracle.q-equals-n", "full", lambda: check_q_equals_n(budget)),
         ("oracle.structural", "full", lambda: check_structural(budget)),
-        ("clique.omega", "full", lambda: check_omega(budget, solver_budget, golden_dir)),
+        ("clique.omega", "full", lambda: check_omega(golden["omega_known.json"], budget, solver_budget)),
     ]
 
     for check_id, check_level, run in checks:

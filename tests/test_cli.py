@@ -89,6 +89,9 @@ def test_verify_fast_passes(capsys):
     ["nope"],
     ["clique", "omega", "--n", "2", "--q", "2", "--timeout", "-1"],
     ["clique", "omega", "--n", "2", "--q", "2", "--timeout", "nan"],
+    ["verify", "--golden-dir", "/nonexistent-golden-dir"],
+    ["oracle", "--n", "2", "--q", "2", "--task", "jm-check", "--budget", "-1"],
+    ["oracle", "--n", "2", "--q", "2", "--task", "centralizer-count", "--budget", "-5"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

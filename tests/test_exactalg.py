@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glcensus import exactalg
 from glcensus.census import gl_order
 from glcensus.exactalg import (
     ONE_POLY,
+    ZERO_POLY,
     PoleError,
     IntPolynomial,
+    _poly_gcd_prs,
     make_rf,
     poly_from_json,
     poly_gcd,
     poly_to_json,
     rf_from_fraction,
     rf_from_json,
-    rf_from_poly,
     rf_to_json,
 )
 
@@ -51,6 +53,13 @@ def test_eval_quadratic_at_3_and_5():
     f = rf([1, 1, 1])
     assert f.eval(3) == 13
     assert f.eval(5) == 31
+
+
+def test_poly_eval_keeps_the_type_of_its_point():
+    p = P([1, -2, 3])
+    assert p.eval(2) == 9 and type(p.eval(2)) is int
+    assert p.eval(Fraction(1, 2)) == Fraction(3, 4) and type(p.eval(Fraction(1, 2))) is Fraction
+    assert rf([1, 1, 1]).eval(3) == Fraction(13) and type(rf([1]).eval(3)) is Fraction
 
 
 def test_eval_at_pole():
@@ -97,7 +106,7 @@ def test_gl_order_two_routes():
             prod = prod * rf([-1] + [0] * (i - 1) + [1])
         lhs = rf([0] * (n * (n - 1) // 2) + [1]) * prod
         rhs = rf([0] * (n * n) + [1]) * phi_product(n)
-        assert lhs == rhs == rf_from_poly(gl_order(n))
+        assert lhs == rhs == make_rf(gl_order(n), ONE_POLY)
 
 
 def test_json_roundtrip():
@@ -160,8 +169,38 @@ def test_eval_commutes_with_arith(a, b, c, d, q0):
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
 def test_poly_gcd_divides_and_is_maximal(a, b, g):
     h = poly_gcd(a * g, b * g)
-    assert g.primitive().divides(h)
-    assert h.divides(a * g) and h.divides(b * g)
+    # exact_div raises ValueError unless the division leaves no remainder
+    h.exact_div(g.primitive())
+    (a * g).exact_div(h)
+    (b * g).exact_div(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_prs_gcd_equals_the_heuristic_gcd(a, b, g):
+    assert _poly_gcd_prs(a * g, b * g) == poly_gcd(a * g, b * g)
+
+
+def test_poly_gcd_falls_back_to_prs_when_every_heuristic_try_fails(monkeypatch):
+    cases = [
+        (P([-1, 0, 0, 1]), P([-1, 1])),  # q^3 - 1, q - 1
+        (P([1, 1, 1]) * P([-1, 0, 0, 1]), P([-1, 1]) * P([-1, 0, 0, 1])),
+        (P([0, 1, 2, 1]), P([0, 0, 3, 5, 2])),  # q (q+1)^2, q^2 (q+1)(2q+3)
+        (P([2, 0, -2]), P([3, 6, 3])),  # coprime up to the factor q + 1
+    ]
+    expected = [poly_gcd(a, b) for a, b in cases]
+    prs = exactalg._poly_gcd_prs
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(exactalg, "_reconstruct", lambda value, xi: ZERO_POLY)
+    monkeypatch.setattr(exactalg, "_poly_gcd_prs", spy)
+    assert [poly_gcd(a, b) for a, b in cases] == expected
+    assert len(calls) == len(cases)
+    assert expected[0] == P([-1, 1]) and expected[3] == P([1, 1])
 
 
 def test_rf_from_fraction():

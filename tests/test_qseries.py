@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glcensus.census import b_coefficient, gl_order
-from glcensus.exactalg import IntPolynomial, PoleError, make_rf, rf_from_fraction, rf_from_poly
+from glcensus.exactalg import ONE_POLY, IntPolynomial, PoleError, make_rf, rf_from_fraction
 from glcensus.qseries import (
     FORM_EXP,
     FORM_PRODUCT,
@@ -158,8 +158,8 @@ def test_fbar_t1_matches_class_sum():
 def test_fbar_against_published_polynomials():
     fbar = build_fbar(3)
     assert fbar[0] == rf([1])
-    assert fbar[2] * rf_from_poly(gl_order(2)) == rf([1, 1, 1])
-    assert fbar[3] * rf_from_poly(gl_order(3)) == rf([-1, -1, 1, 3, 3, 1, 1])
+    assert fbar[2] * make_rf(gl_order(2), ONE_POLY) == rf([1, 1, 1])
+    assert fbar[3] * make_rf(gl_order(3), ONE_POLY) == rf([-1, -1, 1, 3, 3, 1, 1])
 
 
 def test_fbar_matches_label_sums_to_12():
@@ -171,7 +171,7 @@ def test_fbar_matches_label_sums_to_12():
 def test_fbar_times_group_order_is_monic_polynomial():
     fbar = build_fbar(12)
     for n in range(1, 13):
-        product = fbar[n] * rf_from_poly(gl_order(n))
+        product = fbar[n] * make_rf(gl_order(n), ONE_POLY)
         assert product.is_polynomial, f"n={n}"
         poly = product.num
         assert poly.degree == n * n - n and poly.leading == 1
