@@ -135,15 +135,19 @@ def euler_table(length: int, u_order: int, factors) -> list[list[int]]:
     """prod (1 - u^s t^m)^(-e) over the (m, s, e) in factors, truncated at
     t^(length-1) and u^u_order, as one integer table F[t-degree][u-degree].
 
-    Dividing by (1 - u^s t^m) is F_j += u^s F_(j-m) for ascending j, each
-    F_(j-m) already divided: a shift and an add, e times per factor.
+    Dividing by (1 - u^s t^m) is F[j][k] += F[j-m][k-s] for ascending j,
+    each F[j-m] already divided, e times per factor.  Adding in place, with
+    no row copied, keeps the u_order 0 tables of phi_count and
+    stabilized_prefix nearly as cheap as a flat list.
     """
     table = [[0] * (u_order + 1) for _ in range(length)]
     table[0][0] = 1
     for m, s, e in factors:
         for _ in range(e):
             for j in range(m, length):
-                table[j][s:] = [a + b for a, b in zip(table[j][s:], table[j - m])]
+                row, prev = table[j], table[j - m]
+                for k in range(s, u_order + 1):
+                    row[k] += prev[k - s]
     return table
 
 

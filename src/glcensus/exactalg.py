@@ -123,7 +123,8 @@ class IntPolynomial:
         return result
 
     def eval(self, x: Fraction | int) -> Fraction | int:
-        """Horner's rule: an int at an int point, a Fraction at a Fraction point."""
+        """Horner's rule from the integer 0: an int at an int point, and a
+        Fraction at a Fraction point unless the polynomial is zero."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
