@@ -131,7 +131,7 @@ class IntPolynomial:
         return acc
 
     # the same function under its former name, which the benchmark's
-    # reference builder (perfbench/make_reference.py) still calls
+    # reference script, perfbench/make_reference.py, still calls
     eval_int = eval
 
     def content(self) -> int:
