@@ -5,9 +5,13 @@ when the two elements do not commute; its clique number equals the largest
 pairwise non-commuting subset of the group (central elements never extend a
 clique of size two or more, and the one-vertex case is the abelian group,
 where the answer is 1).  Both the graph and the seed check read one table,
-``GLGroup.commuting``, over the lifted group elements: the adjacency is its
-negation, and the seed is pairwise non-commuting when the table is false off
-the diagonal.
+``oracle.commuting_table``, over the lifted group elements.  It takes each
+element X as its commutator operator K_X = X (x) I - I (x) X^T, for which
+K_X vec(S) = vec(XS - SX) in row-major vec, so X commutes with S exactly when
+K_X vec(S) is 0 mod p; a block of operators meets all of the vec(S) in one
+exact floating-point product of residues.  The adjacency is the table's
+negation, packed into one bitset per row, and the seed is pairwise
+non-commuting when the table is false off the diagonal.
 
 The solver is a branch-and-bound over bitset adjacency rows with greedy
 colouring bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et
@@ -35,6 +39,7 @@ from glcensus.oracle import (
     FqMatrix,
     GLGroup,
     check_scan_budget,
+    commuting_table,
     count_cyclic_centralizers,
     gl_group,
 )
@@ -100,13 +105,11 @@ def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     group = gl_group(n, q, budget)
     central = set(group.center_indices())
     verts = [i for i in range(group.order) if i not in central]
-    V = len(verts)
     lifted = group.lifted[verts]
-    adj = ~group.commuting(lifted, lifted)
+    adj = ~commuting_table(lifted, lifted, group.field.p)
     order = _degeneracy_order(adj)
     verts_ordered = tuple(verts[k] for k in order)
-    adj_ordered = adj[np.ix_(order, order)]
-    rows = tuple(_bits_from_bools(adj_ordered[i]) for i in range(V))
+    rows = _bits_from_bools(adj[np.ix_(order, order)])
     identity_index = group.index_of(FqMatrix.identity(group.field, n))
     return NonComGraph(n=n, q=q, vertices=verts_ordered, adjacency=rows,
                        identity_index=identity_index)
@@ -128,9 +131,11 @@ def _degeneracy_order(adj: np.ndarray) -> list[int]:
     return removal[::-1]
 
 
-def _bits_from_bools(row: np.ndarray) -> int:
-    """The row as a bitset: bit j is set exactly when row[j] is true."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+def _bits_from_bools(rows: np.ndarray) -> tuple[int, ...]:
+    """Each row of a 2-D bool array as a bitset: bit j of entry i is set
+    exactly when rows[i, j] is true."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]:
@@ -148,7 +153,7 @@ def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]
 
 def _pairwise_noncommuting(group: GLGroup, indices) -> bool:
     sel = group.lifted[list(indices)]
-    commute = group.commuting(sel, sel)
+    commute = commuting_table(sel, sel, group.field.p)
     np.fill_diagonal(commute, False)
     return not commute.any()
 

@@ -9,8 +9,20 @@ The group work runs in numpy on one representation for every q: entry a
 becomes the e x e matrix over F_p of multiplication by a on 1, t, ...,
 t^(e-1) (the regular representation, Lidl and Niederreiter, Finite Fields,
 ch. 2), column j holding the digits of a t^j.  That map is an injective ring
-homomorphism, so products, commuting, rank and equality over F_q are integer
-matmul mod p, elimination mod p and array equality on ne x ne matrices.
+homomorphism, so rank and equality over F_q are elimination mod p and array
+equality on d x d matrices over F_p, d = ne.
+
+The two all-pairs scans are 2-D products of residues, run in floating point
+where every partial sum is an integer the float holds exactly: float32 below
+2^24, float64 below 2^53, and a ValueError before any product beyond that.
+``commuting_table`` goes through the commutator operator: in row-major vec,
+vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a chunk of X
+against all of S is one (B d^2, d^2) @ (d^2, |S|) product of residues, whose
+partial sums are at most d^2 (p-1)^2, and X_i commutes with S_j exactly when
+column j of the block of X_i is 0 mod p.  ``normalizer_of_set`` forms only
+column 0 of each e x e block of gC and Cg, the digits a code reads: one
+product per side, with partial sums at most d (p-1)^2.
+
 One kernel, ``_rref``, does every elimination, over a whole stack at once:
 GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
 when the lifts of t^j M^k (j < e, k < n), which span F_q[M] over F_p, have
@@ -329,6 +341,16 @@ def _slices(count: int, entries_per_item: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
+def _exact_dtypes(bound: int):
+    """(float dtype, integer dtype) for a product of residues whose partial
+    sums are integers in [0, bound]: float32 holds every integer below 2^24
+    and float64 every one below 2^53, so either product is exact, and the
+    integer dtype holds the result."""
+    if bound >= 2**53:
+        raise ValueError(f"partial sums up to {bound} exceed the exact float64 range 2^53")
+    return (np.float32, np.int32) if bound < 2**24 else (np.float64, np.int64)
+
+
 def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack (B, r, c) of integer
     matrices, and their ranks: one pass over the columns, vectorised over B."""
@@ -354,6 +376,29 @@ def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
         m[batch, top] = np.where(has[:, None], row, m[batch, top])
         rank += has
     return m, rank
+
+
+def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
+    """Bool table over two stacks of d x d matrices over F_p (integer
+    arrays, such as lifted group elements): entry (i, j) is whether
+    X_i S_j = S_j X_i mod p.
+
+    Each chunk of X is one product K @ V: K stacks the commutator operators
+    K_X = X (x) I - I (x) X^T mod p, one d^2 x d^2 block per X_i, and V holds
+    vec(S_j) mod p in column j.  Column j of the block of X_i is then
+    congruent to vec(X_i S_j - S_j X_i) mod p, so the pair commutes exactly
+    when every entry of that column is divisible by p.
+    """
+    d = X.shape[-1]
+    real, whole = _exact_dtypes(d * d * (p - 1) ** 2)
+    eye = np.eye(d, dtype=np.int64)
+    V = (S.reshape(len(S), d * d).T % p).astype(real)
+    table = np.empty((len(X), len(S)), dtype=bool)
+    for s in _slices(len(X), len(S) * d * d):
+        K = np.einsum("bak,jl->bajkl", X[s], eye) - np.einsum("ak,blj->bajkl", eye, X[s])
+        v = ((K.reshape(-1, d * d) % p).astype(real) @ V).astype(whole)
+        table[s] = (v // p * p == v).reshape(-1, d * d, len(S)).all(axis=1)
+    return table
 
 
 class GLGroup:
@@ -400,21 +445,13 @@ class GLGroup:
         d = self.n * self.field.e
         return self._blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
 
-    def codes(self, lifted: np.ndarray) -> np.ndarray:
-        """One integer per reduced lifted matrix in a stack: its n^2 F_q
-        entries, read from column 0 of every e x e block, as base-q digits in
-        row-major order (the group's enumeration order is ascending codes)."""
-        n, e = self.n, self.field.e
-        digits = lifted.reshape(lifted.shape[:-2] + (n, e, n, e))[..., 0]
-        return digits.reshape(lifted.shape[:-2] + (-1,)) @ self._weights
-
-    def products(self, X: np.ndarray, S: np.ndarray):
-        """Yield (start, X_k S mod p, S X_k mod p) over consecutive chunks X_k
-        of the lifted stack X, each product of shape (len(X_k), len(S), ne, ne)."""
-        p = self.field.p
-        for s in _slices(len(X), len(S) * S.shape[-1] ** 2):
-            block = X[s, None]
-            yield s.start, block @ S % p, S @ block % p
+    def codes(self, columns: np.ndarray) -> np.ndarray:
+        """One integer per matrix in a stack of block columns (..., ne, n):
+        column 0 of every e x e block of a reduced lifted matrix, which holds
+        the digits of its n^2 F_q entries, read as base-q digits in row-major
+        order (the group's enumeration order is ascending codes).  The block
+        columns of a lifted stack are ``lifted[..., ::e]``."""
+        return np.einsum("...rj,rj->...", columns, self._weights.reshape(-1, self.n))
 
     def center_indices(self) -> tuple[int, ...]:
         out = []
@@ -443,17 +480,11 @@ class GLGroup:
             self._keys = np.concatenate(keys)
         return self._cyclic
 
-    def commuting(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
-        """Bool table over two lifted stacks: entry (i, j) is X_i S_j == S_j X_i."""
-        table = np.empty((len(X), len(S)), dtype=bool)
-        for start, left, right in self.products(X, S):
-            table[start:start + len(left)] = (left == right).all(axis=(2, 3))
-        return table
-
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
-        """Indices of every group element commuting with M (full scan)."""
-        column = self.commuting(self.lifted, self.lift([M.rows]))[:, 0]
-        return tuple(int(i) for i in np.flatnonzero(column))
+        """Indices of every group element commuting with M (full scan, with
+        M on the operator side: one d^2 x d^2 operator against the group)."""
+        row = commuting_table(self.lift([M.rows]), self.lifted, self.field.p)[0]
+        return tuple(int(i) for i in np.flatnonzero(row))
 
     def cyclic_centralizer_census(self) -> tuple[int, ...]:
         """One representative index per distinct centralizer of a cyclic
@@ -542,14 +573,31 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
     """Order of {g : g C g^-1 = C}, by scanning the whole group.
 
     The condition is tested as the equivalent set equality gC = Cg, on the
-    sorted encodings of both products, so no inverse is ever formed.
+    sorted codes of both products, so no inverse is ever formed.  A code
+    reads only the block columns (column 0 of each e x e block), so only
+    those n columns of each gc and cg are formed: per chunk of g, one
+    product of the stacked g against the block columns of all of C, and one
+    of the stacked members of C against the block columns of all the g.
     """
     check_scan_budget(cset.n, cset.q, "normalizer scan", cset.order, budget)
     group = gl_group(cset.n, cset.q, budget)
+    n, e, p = group.n, group.field.e, group.field.p
+    d = n * e
+    real, whole = _exact_dtypes(d * (p - 1) ** 2)
     C = group.lifted[list(cset.members)]
+    c = len(C)
+    C_rows = C.reshape(c * d, d).astype(real)
+    C_cols = C[..., ::e].transpose(1, 0, 2).reshape(d, c * n).astype(real)
     count = 0
-    for _, left, right in group.products(group.lifted, C):
-        same = np.sort(group.codes(left), axis=1) == np.sort(group.codes(right), axis=1)
+    for s in _slices(group.order, 2 * c * d * n):
+        G = group.lifted[s]
+        b = len(G)
+        # gc: rows (g, r), columns (c, j); cg: rows (c, r), columns (g, j)
+        gc = (G.reshape(b * d, d).astype(real) @ C_cols).astype(whole)
+        cg = (C_rows @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n).astype(real)).astype(whole)
+        gc = (gc - gc // p * p).reshape(b, d, c, n).transpose(0, 2, 1, 3)
+        cg = (cg - cg // p * p).reshape(c, d, b, n).transpose(2, 0, 1, 3)
+        same = np.sort(group.codes(gc), axis=1) == np.sort(group.codes(cg), axis=1)
         count += int(same.all(axis=1).sum())
     return count
 

@@ -189,10 +189,9 @@ def bits_by_loop(row) -> int:
 @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 1000])
 def test_bits_from_bools_matches_loop(length):
     rng = np.random.default_rng(length)
-    rows = [np.zeros(length, dtype=bool), np.ones(length, dtype=bool),
-            rng.random(length) < 0.5]
-    for row in rows:
-        assert _bits_from_bools(row) == bits_by_loop(row)
+    rows = np.stack([np.zeros(length, dtype=bool), np.ones(length, dtype=bool),
+                     rng.random(length) < 0.5])
+    assert _bits_from_bools(rows) == tuple(bits_by_loop(row) for row in rows)
 
 
 def complete_graph(size: int) -> NonComGraph:
@@ -298,7 +297,7 @@ def random_graph(size: int, density: float, seed: int) -> NonComGraph:
     upper = np.triu(rng.random((size, size)) < density, 1)
     adj = upper | upper.T
     return NonComGraph(n=0, q=0, vertices=tuple(range(size)),
-                       adjacency=tuple(_bits_from_bools(row) for row in adj), identity_index=0)
+                       adjacency=_bits_from_bools(adj), identity_index=0)
 
 
 # The group graphs are the solver's real inputs, but each is solved in one

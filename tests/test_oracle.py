@@ -4,15 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from glcensus import oracle
 from glcensus.census import a_polynomial, gl_order
 from glcensus.oracle import (
     Budget,
     BudgetError,
     CentralizerSet,
     FqMatrix,
+    _exact_dtypes,
     _gl_group_cached,
     _rref,
     centralizer,
+    commuting_table,
     count_cyclic_centralizers,
     fqpoly_pow,
     get_field,
@@ -549,7 +552,7 @@ def test_center_indices():
 @pytest.mark.parametrize("q", [4, 9])
 def test_lift_codes_roundtrip(q):
     group = gl_group(2, q)
-    codes = group.codes(group.lifted)
+    codes = group.codes(group.lifted[..., ::group.field.e])
     assert codes.tolist() == [encode(M) for M in group.mats]
     assert group.lifted.shape[1:] == (2 * group.field.e,) * 2
 
@@ -562,7 +565,7 @@ def test_lift_is_multiplicative(q):
     for A in sample:
         for B in sample[::3]:
             product = group.lift(A.rows) @ group.lift(B.rows) % p
-            assert int(group.codes(product)) == encode(A @ B)
+            assert int(group.codes(product[..., ::group.field.e])) == encode(A @ B)
 
 
 def test_commuting_indices_matches_per_element_scan():
@@ -582,9 +585,21 @@ def test_commuting_table_matches_per_element(q):
     for i, A in enumerate(mats):
         for j in range(i, group.order):
             expect[i, j] = expect[j, i] = commutes(A, mats[j])
-    assert (group.commuting(group.lifted, group.lifted) == expect).all()
+    p = group.field.p
+    assert (commuting_table(group.lifted, group.lifted, p) == expect).all()
     columns = list(range(0, group.order, 7))
-    assert (group.commuting(group.lifted, group.lifted[columns]) == expect[:, columns]).all()
+    assert (commuting_table(group.lifted, group.lifted[columns], p) == expect[:, columns]).all()
+
+
+def normalizer_by_conjugation(group, cset) -> int:
+    """The normalizer order by definition: g with g c g^-1 in C for every
+    member c (conjugation is injective, so that is g C g^-1 = C)."""
+    members = frozenset(group.mats[i].rows for i in cset.members)
+    count = 0
+    for g in group.mats:
+        g_inv = inverse(g)
+        count += all((g @ group.mats[i] @ g_inv).rows in members for i in cset.members)
+    return count
 
 
 def test_normalizer_matches_conjugation_reference():
@@ -592,12 +607,66 @@ def test_normalizer_matches_conjugation_reference():
     _, reps = count_cyclic_centralizers(2, 4)
     for idx in list(reps[::4]) + [group.center_indices()[1]]:
         cset = centralizer(group.mats[idx])
-        members = frozenset(group.mats[i].rows for i in cset.members)
-        expect = sum(
-            1 for g in group.mats
-            if frozenset((g @ group.mats[i] @ inverse(g)).rows for i in cset.members) == members
-        )
-        assert normalizer_of_set(cset) == expect
+        assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset)
+
+
+@pytest.mark.parametrize("n,q,positions", [(3, 2, range(0, 41, 8)), (2, 8, [55])])
+def test_normalizer_matches_conjugation_on_gl32_and_gl28(n, q, positions):
+    # GL_3(2) also gets the non-abelian centralizer (order 8) of a transvection
+    group = gl_group(n, q)
+    _, reps = count_cyclic_centralizers(n, q)
+    elements = [group.mats[reps[pos]] for pos in positions]
+    if n == 3:
+        elements.append(FqMatrix(group.field, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    for M in elements:
+        cset = centralizer(M)
+        assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset)
+
+
+# --- the exact float kernels against integer references -----------------------
+
+
+def reference_commuting(X, S, p):
+    """The former table: both int64 products of every pair, reduced mod p."""
+    return (X[:, None] @ S[None] % p == S[None] @ X[:, None] % p).all(axis=(2, 3))
+
+
+@pytest.mark.parametrize("p,d,real", [(2, 4, np.float32), (7, 3, np.float32),
+                                      (4099, 1, np.float64), (4099, 3, np.float64)])
+def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
+    assert _exact_dtypes(d * d * (p - 1) ** 2)[0] is real  # the branch under test
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 5_000)  # many chunks
+    rng = np.random.default_rng(p + d)
+    X = rng.integers(0, p, (70, d, d))
+    # the polynomials a X_k^2 + b X_k + c I commute with X_k, and for d > 1
+    # their unreduced commutators are often nonzero multiples of p
+    a, b, c = rng.integers(0, p, (3, 70, 1, 1))
+    polys = (a * (X @ X % p) + b * X + c * np.eye(d, dtype=np.int64)) % p
+    S = np.concatenate([X, polys, rng.integers(0, p, (40, d, d))])
+    table = commuting_table(X, S, p)
+    assert (table == reference_commuting(X, S, p)).all()
+    assert table[np.arange(70), 70 + np.arange(70)].all()
+
+
+def test_exact_dtypes_bounds():
+    assert _exact_dtypes(2**24 - 1) == (np.float32, np.int32)
+    assert _exact_dtypes(2**24) == (np.float64, np.int64)
+    assert _exact_dtypes(2**53 - 1) == (np.float64, np.int64)
+    with pytest.raises(ValueError):
+        _exact_dtypes(2**53)
+    # p = 2^27 - 39 is prime and (p - 1)^2 >= 2^53: refused before any product
+    one = np.ones((1, 1, 1), dtype=np.int64)
+    with pytest.raises(ValueError):
+        commuting_table(one, one, 2**27 - 39)
+
+
+@pytest.mark.parametrize("n,q,step", [(3, 2, 1), (2, 8, 150)])
+def test_commuting_table_matches_per_element_on_gl32_and_gl28(n, q, step):
+    group = gl_group(n, q)
+    columns = range(0, group.order, step)
+    expect = [[commutes(A, group.mats[j]) for j in columns] for A in group.mats]
+    table = commuting_table(group.lifted, group.lifted[list(columns)], group.field.p)
+    assert table.tolist() == expect
 
 
 # --- the batched elimination against plain Python ---------------------------
