@@ -195,7 +195,7 @@ def cmd_oracle(args) -> int:
             "as_expected": ok,
         })
     elif task == "jm-check":
-        cases, failures = oracle.jm_check_task(q)
+        cases, failures = oracle.jm_check_task(q, budget)
         ok = not failures
         payload.update({"cases": cases, "failures": [{"f": list(f), "m": m} for f, m in failures],
                         "as_expected": ok})

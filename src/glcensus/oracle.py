@@ -1,14 +1,12 @@
 """Brute-force ground truth over small general linear groups.
 
-Everything here is explicit enumeration over F_q, q = p^e.  Field elements
-are the integers 0..q-1 (base-p digit vectors of residues mod f, the least
-monic irreducible of degree e in encoding order) and matrices are tuples of
-them, so every enumeration order is reproducible.
-
-The group work runs in numpy on one representation for every q: entry a
-becomes the e x e matrix over F_p of multiplication by a on 1, t, ...,
-t^(e-1) (the regular representation, Lidl and Niederreiter, Finite Fields,
-ch. 2), column j holding the digits of a t^j.  That map is an injective ring
+Everything here is explicit enumeration over F_q, q = p^e.  ``Fq`` builds
+each field from one definition, its regular representation over F_p (Lidl
+and Niederreiter, Finite Fields, ch. 2): element a becomes the e x e matrix
+``Fq.blocks[a]`` of multiplication by a, and every field table is read off
+those matrices.  Matrices over F_q are tuples of elements, so every
+enumeration order is reproducible, and the group work runs in numpy on their
+lifts, each entry replaced by its block.  The lift is an injective ring
 homomorphism, so rank and equality over F_q are elimination mod p and array
 equality on d x d matrices over F_p, d = ne.
 
@@ -31,10 +29,10 @@ M on the reduced echelon form of that span.  ``min_poly`` is the one
 hand-written elimination left, for the block checks.  The ``*_task``
 functions at the end are the checks both the CLI and the verify suite run.
 
-Budgets, decided from the closed-form group order before anything is
-enumerated, cap the group order for enumeration and the scan steps of the
-quadratic tasks (the GL_3(4) census is charged 3.3e10 steps and is refused
-by default).
+Budgets are decided from closed forms before anything is built: the group
+order caps enumeration, and jm-check's q + q^2 + q^3 candidate polynomials
+count as elements; scan steps cap the quadratic tasks (the GL_3(4) census is
+charged 3.3e10 steps and is refused by default).
 
 On the lower-bound constant used by the proportion checks: the measured
 proportion of cyclic matrices is compared against the exact estimate
@@ -89,12 +87,14 @@ DEFAULT_BUDGET = Budget()
 
 
 class Fq:
-    """The field with q = p^e elements, with dense add/mul/neg/inv tables.
+    """The field with q = p^e elements, defined by its regular representation.
 
-    Elements are integers 0..q-1 encoding base-p digit vectors, and addition
-    is digit-wise mod p.  Products are taken mod p in the prime field; for
-    e > 1 they are polynomial products over F_p reduced modulo f, the least
-    monic irreducible of degree e in encoding order.
+    Element a is the integer whose base-p digits are the coefficients of a
+    residue mod f, the least monic irreducible of degree e in encoding order
+    (f = t when e = 1).  ``blocks[a]`` = a(C) mod p, C the companion matrix of
+    f, is the matrix of multiplication by a on 1, t, ..., t^(e-1): column j
+    holds the digits of a t^j.  It is the one definition of the product; the
+    dense add/mul/neg/inv tables are read off it and the digits.
     """
 
     def __init__(self, q: int):
@@ -102,27 +102,25 @@ class Fq:
         self.q = q
         self.p = p
         self.e = e
-        digits = [self._digits(a) for a in range(q)]
-        add = [[self._encode((x + y) % p for x, y in zip(da, db)) for db in digits]
-               for da in digits]
+        place = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // place % p
         if e == 1:
             self.modulus = (0, 1)
-            mul = [[a * b % p for b in range(p)] for a in range(p)]
         else:
-            base = get_field(p)
-            self.modulus = next(d + (1,) for d in digits if fqpoly_is_irreducible(base, d + (1,)))
-            mul = [[self._encode(fqpoly_divmod(base, fqpoly_mul(base, da, db), self.modulus)[1])
-                    for db in digits] for da in digits]
-        self.add_table = tuple(map(tuple, add))
-        self.mul_table = tuple(map(tuple, mul))
-        self.neg_table = tuple(row.index(0) for row in self.add_table)
-        self.inv_table = (0,) + tuple(row.index(1) for row in self.mul_table[1:])
-
-    def _digits(self, enc: int) -> tuple[int, ...]:
-        return tuple(enc // self.p**i % self.p for i in range(self.e))
-
-    def _encode(self, digits) -> int:
-        return sum(d * self.p**i for i, d in enumerate(digits))
+            self.modulus = next(f for f in (tuple(d) + (1,) for d in digits.tolist())
+                                if fqpoly_is_irreducible(get_field(p), f))
+        companion = np.eye(e, k=-1, dtype=np.int64)
+        companion[:, -1] = np.negative(self.modulus[:e]) % p
+        powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(e - 1):
+            powers.append(powers[-1] @ companion % p)
+        self.blocks = np.einsum("ai,ijk->ajk", digits, np.array(powers)) % p
+        self.blocks.flags.writeable = False
+        mul = np.einsum("ajk,bk->abj", self.blocks, digits) % p @ place
+        self.add_table = tuple(map(tuple, ((digits[:, None] + digits) % p @ place).tolist()))
+        self.mul_table = tuple(map(tuple, mul.tolist()))
+        self.neg_table = tuple((-digits % p @ place).tolist())
+        self.inv_table = tuple(np.argmax(mul == 1, axis=1).tolist())
 
     # element operations
     def add(self, a: int, b: int) -> int:
@@ -412,10 +410,6 @@ class GLGroup:
         self.order = gl_order(n).eval(q)
         p, e = self.field.p, self.field.e
         d = n * e
-        # _blocks[a] is the matrix of multiplication by a: column j holds the
-        # base-p digits of a * t^j, so column 0 holds the digits of a
-        images = np.array(self.field.mul_table, dtype=np.int64)[:, p ** np.arange(e)]
-        self._blocks = images[:, None, :] // p ** np.arange(e)[:, None] % p
         # weight of digit i of entry (r, c): p^i q^(n^2 - 1 - (rn + c))
         place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
         self._weights = (place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
@@ -440,10 +434,10 @@ class GLGroup:
 
     def lift(self, entries) -> np.ndarray:
         """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
-        entry a becomes the e x e block of multiplication by a."""
+        the field's regular representation, entry a becoming ``field.blocks[a]``."""
         entries = np.asarray(entries, dtype=np.int64)
         d = self.n * self.field.e
-        return self._blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
+        return self.field.blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
 
     def codes(self, columns: np.ndarray) -> np.ndarray:
         """One integer per matrix in a stack of block columns (..., ne, n):
@@ -635,9 +629,15 @@ def regular_unipotent_task(n: int, q: int, budget: Budget | None = None) -> tupl
     return cset.order, q**n - q ** (n - 1), normalizer_of_set(cset, budget), expect_normalizer
 
 
-def jm_check_task(q: int) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+def jm_check_task(q: int,
+                  budget: Budget | None = None) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """(cases, failing (f, m)) of min_poly(J_m(f)) = f^m over F_q, for every
-    monic irreducible f of degree at most 3 and m <= 3."""
+    monic irreducible f of degree at most 3 and m <= 3.  The q + q^2 + q^3
+    candidate f are charged to the element budget before F_q is built."""
+    budget = budget if budget is not None else DEFAULT_BUDGET
+    candidates = q + q**2 + q**3
+    if candidates > budget.elements:
+        raise BudgetError(f"jm-check over F_{q} exceeds the enumeration budget", candidates, budget.elements)
     F = get_field(q)
     cases = [(f, m) for d in (1, 2, 3) for f in monic_irreducibles(F, d) for m in (1, 2, 3)]
     return len(cases), [(f, m) for f, m in cases if min_poly(jm_block(F, f, m)) != fqpoly_pow(F, f, m)]

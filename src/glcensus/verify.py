@@ -277,7 +277,7 @@ def check_structural(budget=None) -> tuple[str, str]:
         if norm != expect_n:
             bad.append(f"regular unipotent ({n},{q}): normalizer order {norm}")
     for q in (2, 3):
-        for f, m in oracle.jm_check_task(q)[1]:
+        for f, m in oracle.jm_check_task(q, budget)[1]:
             bad.append(f"block ({len(f) - 1},{m}) over F_{q}: minimal polynomial mismatch")
     order, cyclic_members = oracle.remark_matrix_task(budget)
     if order != 16 or cyclic_members != 0:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from glcensus import asympt, census, cli, clique, exactalg, qseries
+from glcensus import asympt, census, cli, clique, exactalg, oracle, qseries
 
 
 def run_cli(capsys, *argv):
@@ -92,12 +92,21 @@ def test_verify_fast_passes(capsys):
     ["verify", "--golden-dir", "/nonexistent-golden-dir"],
     ["oracle", "--n", "2", "--q", "2", "--task", "jm-check", "--budget", "-1"],
     ["oracle", "--n", "2", "--q", "2", "--task", "centralizer-count", "--budget", "-5"],
+    ["oracle", "--n", "2", "--q", "64", "--task", "jm-check"],  # 266 304 candidate polynomials
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
     assert "Traceback" not in out + err
+
+
+def test_jm_check_refusal_builds_no_field(capsys):
+    fields = oracle.get_field.cache_info()
+    code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "64", "--task", "jm-check")
+    assert code == 2
+    assert json.loads(out)["error"].startswith("jm-check over F_64 exceeds the enumeration budget")
+    assert oracle.get_field.cache_info() == fields
 
 
 def test_help_still_exits_0(capsys):

@@ -21,6 +21,7 @@ from glcensus.oracle import (
     get_field,
     gl_group,
     jm_block,
+    jm_check_task,
     min_poly,
     monic_irreducibles,
     noncyclic_centralizer_witness,
@@ -242,7 +243,7 @@ def reference_field_tables(q: int):
     return modulus, add, mul, neg, inv
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 27, 125])
 def test_field_tables_match_reference_construction(q):
     F = get_field(q)
     modulus, add, mul, neg, inv = reference_field_tables(q)
@@ -251,6 +252,42 @@ def test_field_tables_match_reference_construction(q):
     assert [list(r) for r in F.mul_table] == mul
     assert list(F.neg_table) == neg
     assert list(F.inv_table) == inv
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27])
+def test_field_blocks_are_the_regular_representation(q):
+    # blocks is a ring homomorphism into e x e matrices over F_p, t (encoded
+    # p) goes to the companion matrix of the modulus, and column j of
+    # blocks[a] holds the base-p digits of a t^j (t^j encodes as p^j)
+    F = get_field(q)
+    p, e = F.p, F.e
+    blocks = F.blocks.tolist()
+    assert F.blocks.shape == (q, e, e)
+    f = F.modulus
+    assert blocks[p] == [[((i == j + 1) - (j == e - 1) * f[i]) % p for j in range(e)] for i in range(e)]
+
+    def digits(x):
+        return [x // p**i % p for i in range(e)]
+
+    for a in range(q):
+        assert [list(col) for col in zip(*blocks[a])] == [digits(F.mul(a, p**j)) for j in range(e)]
+        for b in range(q):
+            A, B = F.blocks[a], F.blocks[b]
+            assert (F.blocks[F.mul(a, b)] == A @ B % p).all(), (a, b)
+            assert (F.blocks[F.add(a, b)] == (A + B) % p).all(), (a, b)
+
+
+def test_large_prime_field_tables():
+    # q = 1009 is too large for the reference construction: check the tables
+    # against integer arithmetic mod p on a sample, and every inverse
+    F = get_field(1009)
+    assert (F.p, F.e, F.modulus) == (1009, 1, (0, 1))
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, 1009))
+    rng = np.random.default_rng(1009)
+    for a, b in rng.integers(0, 1009, size=(500, 2)).tolist() + [[0, 0], [1008, 1008], [1, 1008]]:
+        assert F.add(a, b) == (a + b) % 1009
+        assert F.mul(a, b) == a * b % 1009
+        assert F.neg(a) == -a % 1009
 
 
 # --- enumeration ------------------------------------------------------------
@@ -280,6 +317,17 @@ def test_budget_refuses_gl34_census_by_default():
     with pytest.raises(BudgetError):
         count_cyclic_centralizers(3, 4)
     assert _gl_group_cached.cache_info().currsize == cached
+
+
+def test_jm_check_budget_counts_candidate_polynomials():
+    # q + q^2 + q^3 candidates: 14 for q = 2, refused before F_q is built
+    assert jm_check_task(2, Budget(elements=14)) == (15, [])
+    with pytest.raises(BudgetError) as err:
+        jm_check_task(2, Budget(elements=13))
+    assert (err.value.required, err.value.allowed) == (14, 13)
+    with pytest.raises(BudgetError) as err:
+        jm_check_task(59)  # the default budget accepts q <= 58
+    assert err.value.required == 59 + 59**2 + 59**3
 
 
 def test_normalizer_refusal_precedes_enumeration():
