@@ -24,12 +24,23 @@ over k <= K is the integer pair
 
     a^P / D,   P = sum_k k e_k,   D = prod_k (a^k - b^k)^(e_k),
 
-with D formed as a balanced product tree.  The pair is already in lowest
-terms: gcd(a^k - b^k, a) = gcd(b^k, a) = 1, hence gcd(a^P, D) = 1.  One
-unbalanced gcd(a, D) == 1 certifies that, in place of the big-integer gcds
-that reducing a^P / D (or a loop of Fraction divisions) would spend; a
-failure is a ConsistencyError.  Only hi = lo / (1 - log bound) goes through
-Fraction arithmetic, against a small operand.
+with D formed by one square-and-multiply over the bits of all the e_k at
+once: from the top bit down, D is squared and then multiplied by the small
+product of the a^k - b^k whose e_k has that bit set.  The big operand is so
+squared about log2(max e_k) times, never multiplied by another big operand.
+The pair is already in lowest terms: gcd(a^k - b^k, a) = gcd(b^k, a) = 1,
+hence gcd(a^P, D) = 1.  One unbalanced gcd(a, D) == 1 certifies that, in
+place of the big-integer gcds that reducing a^P / D (or a loop of Fraction
+divisions) would spend; a failure is a ConsistencyError.  Only
+hi = lo / r, r = 1 - log bound, goes through Fraction arithmetic, against a
+small operand.
+
+Nonemptiness: lo <= hi is certified on the small factor r, not by
+cross-multiplying the two big endpoints.  For lo >= 0 and 0 < r <= 1,
+lo / r >= lo, so RatInterval.from_ratio(lo, r) checks only the sign of lo
+and the range of r.  RatInterval.shift skips the comparison too, since a
+translate of a nonempty interval is nonempty.  The plain RatInterval(lo, hi)
+constructor keeps the full lo <= hi comparison for every other caller.
 """
 
 from __future__ import annotations
@@ -62,12 +73,33 @@ class RatInterval:
         if self.lo > self.hi:
             raise ValueError("empty interval")
 
+    @classmethod
+    def from_ratio(cls, lo: Fraction, r: Fraction) -> RatInterval:
+        """[lo, lo / r], certified nonempty by lo >= 0 and 0 < r <= 1 alone.
+
+        Those give lo / r >= lo without comparing the two endpoints, which
+        costs a product of both when they are big.  Any other lo or r is
+        refused with ValueError, as RatInterval refuses an empty interval.
+        """
+        if lo < 0 or not 0 < r <= 1:
+            raise ValueError("empty interval")
+        return cls._certified(lo, lo / r)
+
+    @classmethod
+    def _certified(cls, lo: Fraction, hi: Fraction) -> RatInterval:
+        """[lo, hi] for endpoints the caller has proven ordered; no comparison."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "lo", lo)
+        object.__setattr__(out, "hi", hi)
+        return out
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def shift(self, x: Fraction) -> RatInterval:
-        return RatInterval(self.lo - x, self.hi - x)
+        """The translate [lo - x, hi - x]; nonempty because self is."""
+        return self._certified(self.lo - x, self.hi - x)
 
 
 def _exponent(k: int) -> int:
@@ -89,12 +121,17 @@ def _power_fraction(base: int, power: int, den: int) -> Fraction:
     return out
 
 
-def _product_tree(factors: list[int]) -> int:
-    """Product of the factors, multiplied pairwise so operand sizes stay balanced."""
-    while len(factors) > 1:
-        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        factors = pairs + factors[len(pairs) * 2:]
-    return factors[0]
+def _power_product(bases: list[int], exponents: list[int]) -> int:
+    """prod(x**e) over the pairs, by one square-and-multiply over all the exponent bits.
+
+    From the top bit j down, out becomes out**2 times the product of the bases
+    whose exponent has bit j set.  The exponents must be nonnegative.
+    """
+    out = 1
+    for j in reversed(range(max(exponents, default=0).bit_length())):
+        out *= out
+        out *= math.prod(x for x, e in zip(bases, exponents) if e >> j & 1)
+    return out
 
 
 def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
@@ -120,10 +157,11 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     if log_bound >= 1:
         raise DivergenceError("tail bound too large; increase the number of terms")
     a, b = q.numerator, q.denominator
-    power = sum(k * _exponent(k) for k in range(1, terms + 1))
-    den = _product_tree([(a**k - b**k) ** _exponent(k) for k in range(1, terms + 1)])
+    ks = range(1, terms + 1)
+    power = sum(k * _exponent(k) for k in ks)
+    den = _power_product([a**k - b**k for k in ks], [_exponent(k) for k in ks])
     partial = _power_fraction(a, power, den)
-    return RatInterval(partial, partial / (1 - log_bound))
+    return RatInterval.from_ratio(partial, 1 - log_bound)
 
 
 def exp_interval(x: Fraction, terms: int = 30) -> RatInterval:

@@ -198,12 +198,18 @@ def check_convergence() -> tuple[str, str]:
     for q in (2, 3):
         hi = asympt.l_of_q(q, 30).hi
         gaps = asympt.convergence_report(q, 12)
+        values = []
+        exact_gaps = True
         for n, gap in gaps:
             value = census.b_coefficient(n).eval(q) * Fraction(q) ** n
             if not value < hi:
                 bad.append(f"q={q}, n={n}: value not below hi")
-        uppers = [gap.hi for _, gap in gaps]
-        if not all(a > b for a, b in zip(uppers, uppers[1:])):
+            exact_gaps = exact_gaps and gap.hi == hi - value
+            values.append(value)
+        # With every gap.hi equal to hi - q^n b_n, the gap upper bounds strictly
+        # decrease exactly when the small values q^n b_n strictly increase, so
+        # no two big upper bounds are compared.
+        if not (exact_gaps and all(a < b for a, b in zip(values, values[1:]))):
             bad.append(f"q={q}: gap upper bounds not strictly decreasing")
     status, detail = _fail_list(bad)
     return status, detail or "q^n b_n stays below hi(l(q)) and gaps shrink, q in {2,3}"

@@ -10,12 +10,14 @@ from glcensus.asympt import (
     DivergenceError,
     RatInterval,
     _power_fraction,
+    _power_product,
     check_estimates,
     convergence_report,
     exp_interval,
     fraction_to_decimal,
     l_of_q,
 )
+from glcensus import asympt, verify
 from glcensus.census import ConsistencyError, b_coefficient
 
 
@@ -182,6 +184,79 @@ def test_first_gap_value_q3():
 def test_interval_invariant():
     with pytest.raises(ValueError):
         RatInterval(Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize("lo, r", [
+    (Fraction(3), Fraction(0)), (Fraction(3), Fraction(-1, 2)),  # r <= 0
+    (Fraction(3), Fraction(3, 2)), (Fraction(0), Fraction(2)),  # r > 1
+    (Fraction(-1), Fraction(1, 2)), (Fraction(-1, 7), Fraction(1)),  # lo < 0
+], ids=str)
+def test_from_ratio_refuses_what_it_cannot_certify(lo, r):
+    with pytest.raises(ValueError, match="empty interval"):
+        RatInterval.from_ratio(lo, r)
+
+
+def test_from_ratio_at_r_one_is_a_point():
+    for lo in (Fraction(0), Fraction(5, 3)):
+        iv = RatInterval.from_ratio(lo, Fraction(1))
+        assert iv == RatInterval(lo, lo) and iv.width == 0
+
+
+def test_from_ratio_equals_the_checked_constructor():
+    rng = random.Random(13)
+    for _ in range(300):
+        lo = Fraction(rng.randrange(0, 10**40), rng.randrange(1, 10**40))
+        r = Fraction(rng.randrange(1, 10**6), 10**6) if rng.random() < 0.9 else Fraction(1)
+        got, want = RatInterval.from_ratio(lo, r), RatInterval(lo, lo / r)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_shift_subtracts_from_both_endpoints():
+    rng = random.Random(14)
+    for _ in range(200):
+        a, b = sorted(Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**9))
+                      for _ in range(2))
+        x = Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**9))
+        iv = RatInterval(a, b).shift(x)
+        assert iv == RatInterval(a - x, b - x)
+
+
+def test_power_product_equals_the_product_of_powers():
+    rng = random.Random(15)
+    for _ in range(200):
+        size = rng.randrange(1, 12)
+        bases = [rng.randrange(-10**12, 10**12) for _ in range(size)]
+        exponents = [rng.choice((0, 0, 1, 2, rng.randrange(0, 300))) for _ in range(size)]
+        assert _power_product(bases, exponents) == math.prod(x**e for x, e in zip(bases, exponents))
+    assert _power_product([7], [13]) == 7**13
+    assert _power_product([7], [0]) == 1
+    assert _power_product([5, 3], [0, 0]) == 1
+    assert _power_product([], []) == 1
+
+
+def _broken_gaps(q, upto, terms=30, delta=Fraction(0), swap=False):
+    """convergence_report with the last gap's upper end moved by delta, or two values swapped."""
+    enclosure = l_of_q(q, terms)
+    values = [b_coefficient(n).eval(q) * Fraction(q) ** n for n in range(1, upto + 1)]
+    if swap:
+        values[-2], values[-1] = values[-1], values[-2]
+    gaps = [(n, enclosure.shift(v)) for n, v in enumerate(values, 1)]
+    last = gaps[-1][1]
+    gaps[-1] = (upto, RatInterval(last.lo, last.hi + delta))
+    return gaps
+
+
+# Moving the last upper end up by 10^-9 keeps the upper bounds decreasing, so
+# only the gap.hi == hi - value check catches it.
+@pytest.mark.parametrize("breakage", [{"delta": Fraction(1, 10**9)}, {"swap": True}], ids=str)
+def test_check_convergence_fails_on_gaps_it_cannot_certify(monkeypatch, breakage):
+    assert verify.check_convergence() == (
+        verify.PASS, "q^n b_n stays below hi(l(q)) and gaps shrink, q in {2,3}")
+    monkeypatch.setattr(asympt, "convergence_report",
+                        lambda q, upto, terms=30: _broken_gaps(q, upto, terms, **breakage))
+    assert verify.check_convergence() == (
+        verify.FAIL, "q=2: gap upper bounds not strictly decreasing; "
+        "q=3: gap upper bounds not strictly decreasing")
 
 
 def test_decimal_display_directions():
