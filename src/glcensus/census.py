@@ -16,21 +16,32 @@ Multiplying by |GL_j| turns it into a recurrence for a_j over Z[q]:
     j a_j = sum_{k=1..j} w_{j,k} a_{j-k},   a_0 = 1,
     w_{j,k} = sum_{dm=k} k |GL_j| / (|GL_{j-k}| N(d, m)).
 
-Each term of w_{j,k} is an integer polynomial.  |GL_j| / |GL_{j-k}| is
-q^(k(2j-k-1)/2) times the k factors q^i - 1 with j-k < i <= j; exactly m of
-those i are multiples of d, and q^d - 1 divides each of them, which covers
-(q^d - 1)^2 once m >= 2; the q-power is at least d(2m-3), and k = dm cancels
-the factor d of N(d, m).  a_polynomial builds a_1, a_2, ... once per process
-in one ascending pass, checking every division (by |GL_{j-k}|, by N(d, m)
-and by j) and that each a_j is monic of degree j^2 - j; b_coefficient is
-then a_n / |GL_n| after one reduction.  class_sum keeps the label sum itself
-as the definition-level cross-check for the verification suite and the
-tests.
+Every factor of a term is sparse, so a_polynomial builds each term from its
+factors over plain coefficient lists, with no polynomial product and no
+general division.  |GL_j| / |GL_{j-k}| is q^(k(2j-k-1)/2) times the k
+binomials q^i - 1 with j-k < i <= j, and N(d, m) is d (q^d - 1) when m = 1
+and d (q^d - 1)^2 q^(d(2m-3)) when m >= 2.  So the (d, m) term is
 
-block_normalizer is the one definition of N(d, m); qseries builds the exp
-forms of the generating function from it too.  _denominator_shape, which
-class_sum uses, encodes the same normaliser independently as a q-power,
-(q^d - 1)-exponents and an integer, so the cross-check does not share it.
+    m q^(k(2j-k-1)/2 - [m>=2] d(2m-3)) P / (q^d - 1)^(1 or 2),
+    P = a_{j-k} prod_{j-k<i<=j} (q^i - 1),
+
+k = dm cancelling the d of N(d, m).  Each binomial is one shift-and-subtract.
+P is kept for every k at once: stepping from j-1 to j multiplies each kept
+product by q^j - 1 and adds a_{j-1} (q^j - 1) for k = 1.  Exactly m of the
+i are multiples of d and q^d - 1 divides each such q^i - 1, so the division
+is exact: C_t = C_{t-d} - A_t from the bottom, and the top d coefficients,
+which must vanish, are the remainder.  Every division is checked, then the
+sum of the terms must divide by j and the result must be monic of degree
+j^2 - j; any failure is a ConsistencyError.  a_0, a_1, ... are built once
+per process in one ascending pass.  b_coefficient is then a_n / |GL_n|
+after one reduction.  class_sum keeps the label sum itself as the
+definition-level cross-check for the verification suite and the tests.
+
+block_normalizer is N(d, m) as a polynomial; normalizer_order and the exp
+forms qseries builds of the generating function read it.  a_polynomial
+applies N(d, m) through its factors, and _denominator_shape, which
+class_sum uses, encodes it independently as a q-power, (q^d - 1)-exponents
+and an integer, so the cross-check does not share it.
 
 All values are exact and in the formal symbol q: the normaliser orders,
 |GL_n| and a_n are IntPolynomials, and b_n is a reduced RationalFunction.
@@ -46,12 +57,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
     RF_ZERO,
-    ZERO_POLY,
     IntPolynomial,
     RationalFunction,
     make_rf,
@@ -70,18 +81,20 @@ class UnsupportedRegimeError(ValueError):
 class MuFunction:
     """Finitely supported map (d, m) -> multiplicity, all entries positive.
 
-    ``items`` is sorted by (d, m), which fixes the canonical ordering used by
-    :func:`enumerate_phi`.
+    The keys of ``items`` are strictly ascending in (d, m), so each label has
+    one form; that fixes the canonical ordering used by :func:`enumerate_phi`.
     """
 
     items: tuple[tuple[tuple[int, int], int], ...]
 
     def __post_init__(self) -> None:
+        prev = (0, 0)
         for (d, m), mult in self.items:
             if d < 1 or m < 1 or mult < 1:
                 raise ValueError(f"invalid support entry ({d},{m}) -> {mult}")
-        if list(self.items) != sorted(self.items):
-            raise ValueError("support must be sorted by (d, m)")
+            if (d, m) <= prev:
+                raise ValueError("support keys must be strictly ascending in (d, m)")
+            prev = (d, m)
 
     @property
     def weight(self) -> int:
@@ -98,24 +111,22 @@ def enumerate_phi(n: int) -> tuple[MuFunction, ...]:
     """All weight functions of total weight n, in canonical sorted order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    labels = [(d, m) for d in range(1, n + 1) for m in range(1, n // d + 1)]
     out: list[MuFunction] = []
 
-    def descend(idx: int, remaining: int, acc: list) -> None:
+    # The labels (d, m) ascend, and taking (d, m) moves on to the labels
+    # after it, so the functions come out in ascending order.  Only a take
+    # recurses, and only on labels whose step d*m still fits.
+    def descend(d0: int, m0: int, remaining: int, acc: tuple) -> None:
         if remaining == 0:
-            out.append(MuFunction(tuple(acc)))
+            out.append(MuFunction(acc))
             return
-        if idx == len(labels):
-            return
-        d, m = labels[idx]
-        step = d * m
-        # labels ascend, so taking this one before skipping it emits the
-        # functions in ascending order
-        for mult in range(1, remaining // step + 1):
-            descend(idx + 1, remaining - mult * step, acc + [((d, m), mult)])
-        descend(idx + 1, remaining, acc)
+        for d in range(d0, remaining + 1):
+            for m in range(m0 if d == d0 else 1, remaining // d + 1):
+                step = d * m
+                for mult in range(1, remaining // step + 1):
+                    descend(d, m + 1, remaining - mult * step, acc + (((d, m), mult),))
 
-    descend(0, n, [])
+    descend(1, 1, n, ())
     return tuple(out)
 
 
@@ -255,12 +266,26 @@ def gl_order(n: int) -> IntPolynomial:
 _census: list[IntPolynomial] = [ONE_POLY]
 
 
-def _exact_quotient(num: IntPolynomial, den: IntPolynomial, what: str) -> IntPolynomial:
-    """num / den in Z[q]; a remainder or a non-integer coefficient is a ConsistencyError."""
-    try:
-        return num.exact_div(den)
-    except ValueError:
-        raise ConsistencyError(f"{what} is not an integer polynomial") from None
+def _times_binomial(coeffs: list[int], i: int) -> list[int]:
+    """coeffs * (q^i - 1), as one shift-and-subtract."""
+    pad = [0] * i
+    return [hi - lo for hi, lo in zip(pad + coeffs, coeffs + pad)]
+
+
+def _divide_by_binomial(coeffs: list[int], d: int, what: str) -> list[int]:
+    """coeffs / (q^d - 1) in Z[q]; a remainder is a ConsistencyError.
+
+    C_t = C_{t-d} - A_t from the bottom, one running sum per residue of t
+    mod d; the division is exact exactly when the top d values vanish.
+    """
+    quo = [0] * len(coeffs)
+    for r in range(d):
+        quo[r::d] = [-s for s in accumulate(coeffs[r::d])]
+    top = len(coeffs) - d
+    if any(quo[top:]):
+        raise ConsistencyError(f"{what}: division by q^{d} - 1 leaves a remainder")
+    del quo[top:]
+    return quo
 
 
 def a_polynomial(n: int) -> IntPolynomial:
@@ -268,25 +293,42 @@ def a_polynomial(n: int) -> IntPolynomial:
 
     Exact count for q > 2; an upper bound when evaluated at q = 2.
     Built by j a_j = sum_{k=1..j} w_{j,k} a_{j-k} over Z[q], from a_0 = 1 up,
-    with w_{j,k} = sum_{dm=k} k |GL_j| / (|GL_{j-k}| N(d, m)); every division
-    and the shape of every a_j are checked.
+    each term from its sparse factors (see the module docstring); every
+    division and the shape of every a_j are checked.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     a = _census
-    for j in range(len(a), n + 1):
-        total = ZERO_POLY
+    if n < len(a):
+        return a[n]
+    # products[j - k] = a_{j-k} prod_{j-k<i<=j} (q^i - 1) for the current j
+    products: list[list[int]] = []
+    for j in range(1, n + 1):
+        products.append(list(a[j - 1].coeffs))
+        products = [_times_binomial(p, j) for p in products]
+        if j < len(a):
+            continue
+        total: list[int] = []
         for k in range(1, j + 1):
-            ratio = _exact_quotient(gl_order(j), gl_order(j - k), f"|GL_{j}| / |GL_{j - k}|")
-            ratio = ratio.scale(k)
-            weight = ZERO_POLY
+            product = products[j - k]
+            base_shift = k * (2 * j - k - 1) // 2
             for d in range(1, k + 1):
-                if k % d == 0:
-                    weight = weight + _exact_quotient(
-                        ratio, block_normalizer(d, k // d),
-                        f"the ({d},{k // d}) term of w_{j},{k}")
-            total = total + weight * a[j - k]
-        poly = _exact_quotient(total, IntPolynomial.const(j), f"{j} a_{j} / {j}")
+                if k % d:
+                    continue
+                m = k // d
+                what = f"the ({d},{m}) term of w_{j},{k}"
+                term = _divide_by_binomial(product, d, what)
+                shift = base_shift
+                if m >= 2:
+                    term = _divide_by_binomial(term, d, what)
+                    shift -= d * (2 * m - 3)
+                end = shift + len(term)
+                if end > len(total):
+                    total.extend([0] * (end - len(total)))
+                total[shift:end] = [t + m * c for t, c in zip(total[shift:end], term)]
+        if any(c % j for c in total):
+            raise ConsistencyError(f"{j} a_{j} / {j} is not an integer polynomial")
+        poly = IntPolynomial(tuple(c // j for c in total))
         if poly.degree != j * j - j or poly.leading != 1:
             raise ConsistencyError(
                 f"census polynomial for n={j} has degree {poly.degree}, leading {poly.leading}")

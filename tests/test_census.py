@@ -20,7 +20,7 @@ from glcensus.census import (
     phi_count,
     stabilized_prefix,
 )
-from glcensus.exactalg import ONE_POLY, IntPolynomial, make_rf
+from glcensus.exactalg import ONE_POLY, ZERO_POLY, IntPolynomial, make_rf
 
 P = IntPolynomial.from_coeffs
 
@@ -59,6 +59,46 @@ def test_phi_2_three_classes_in_canonical_order():
         ((((1, 2), 1)),),
         ((((2, 1), 1)),),
     ]
+
+
+# The label descent as first written, kept as the reference for the pruned
+# one: every label is either taken (with each multiplicity that fits) or
+# skipped, one recursion level per label.
+def reference_enumerate_phi(n: int) -> list[MuFunction]:
+    labels = [(d, m) for d in range(1, n + 1) for m in range(1, n // d + 1)]
+    out = []
+
+    def descend(idx, remaining, acc):
+        if remaining == 0:
+            out.append(MuFunction(tuple(acc)))
+            return
+        if idx == len(labels):
+            return
+        d, m = labels[idx]
+        step = d * m
+        for mult in range(1, remaining // step + 1):
+            descend(idx + 1, remaining - mult * step, acc + [((d, m), mult)])
+        descend(idx + 1, remaining, acc)
+
+    descend(0, n, [])
+    return out
+
+
+def test_enumerate_phi_matches_the_reference_descent():
+    for n in range(17):
+        assert list(enumerate_phi(n)) == reference_enumerate_phi(n), f"n={n}"
+    for n in range(21):
+        assert len(enumerate_phi(n)) == phi_count(n), f"n={n}"
+
+
+def test_mu_function_keys_strictly_ascending():
+    twice = MuFunction((((1, 1), 2),))
+    assert normalizer_order(twice) == P([2, -4, 2])
+    for items in ((((1, 1), 1), ((1, 1), 1)),   # the same label written twice
+                  (((1, 2), 1), ((1, 1), 1)),   # descending
+                  (((0, 1), 1),)):
+        with pytest.raises(ValueError):
+            MuFunction(items)
 
 
 def test_phi_counts_against_euler_transform():
@@ -125,9 +165,13 @@ def test_b_matches_naive_label_sum():
             assert grouped == naive, f"n={n}"
 
 
-def _scaled_split_torus(d, m):
-    n = block_normalizer(d, m)
-    return n.scale(2) if (d, m) == (1, 1) else n
+def _wrong_binomial(i, factor):
+    """_times_binomial with q^i - 1 replaced by the polynomial `factor`."""
+    real = census._times_binomial
+
+    def times(coeffs, k):
+        return list((P(coeffs) * P(factor)).coeffs) if k == i else real(coeffs, k)
+    return times
 
 
 # Each case feeds the recurrence one wrong input and names the check that
@@ -135,12 +179,15 @@ def _scaled_split_torus(d, m):
 # so no a_j built from a wrong input outlives it: after the undo, a_4 is
 # read from the real cache again.
 @pytest.mark.parametrize("patch, start, message", [
-    # |GL_0| = q: |GL_1| / |GL_0| leaves a remainder
-    pytest.param("gl_order", lambda n: P([0, 1]) if n == 0 else gl_order(n),
-                 "|GL_1| / |GL_0|", id="group-order-remainder"),
-    # N(1, 1) = 2(q - 1): the k = 1 weight has a non-integer coefficient
-    pytest.param("block_normalizer", _scaled_split_torus, "the (1,1) term of w_1,1",
-                 id="weight-not-integral"),
+    # q - 1 read as q + 1: the k = 1 term of 1 a_1 leaves a remainder 2
+    pytest.param("_times_binomial", _wrong_binomial(1, [1, 1]),
+                 "the (1,1) term of w_1,1: division by q^1 - 1 leaves a remainder",
+                 id="binomial-remainder-d1"),
+    # q^2 - 1 read as q^2 - q: the d = 1 divisions still go through, but
+    # (q - 1) (q^2 - q) is not divisible by q^2 - 1
+    pytest.param("_times_binomial", _wrong_binomial(2, [0, -1, 1]),
+                 "the (2,1) term of w_2,2: division by q^2 - 1 leaves a remainder",
+                 id="binomial-remainder-d2"),
     # a wrong a_1 = q: 2 a_2 = q^3 + 2q^2 + q + 2 is not divisible by 2
     pytest.param(None, [P([1]), P([0, 1])], "2 a_2 / 2", id="sum-not-divisible-by-j"),
     # a_0 = 2: every a_j doubles, so a_1 = 2 is not monic
@@ -158,6 +205,30 @@ def test_a_polynomial_checks_every_division_and_shape(monkeypatch, patch, start,
         census.a_polynomial(4)
     monkeypatch.undo()
     assert a_polynomial(4) == P(TABLE1[4])
+
+
+def reference_a_polynomials(n: int) -> list[IntPolynomial]:
+    """a_0..a_n by the recurrence over whole IntPolynomials, the census's
+    first route: w_{j,k} from the quotient |GL_j| / |GL_{j-k}| and the
+    divisions by block_normalizer, each exact division checked."""
+    a = [ONE_POLY]
+    for j in range(1, n + 1):
+        total = ZERO_POLY
+        for k in range(1, j + 1):
+            ratio = gl_order(j).exact_div(gl_order(j - k)).scale(k)
+            weight = ZERO_POLY
+            for d in range(1, k + 1):
+                if k % d == 0:
+                    weight = weight + ratio.exact_div(block_normalizer(d, k // d))
+            total = total + weight * a[j - k]
+        a.append(total.exact_div(IntPolynomial.const(j)))
+    return a
+
+
+def test_a_polynomial_matches_the_reference_recurrence():
+    reference = reference_a_polynomials(20)
+    for n in range(1, 21):
+        assert a_polynomial(n) == reference[n], f"n={n}"
 
 
 def fraction_node_value(n: int, q0: int) -> int:
