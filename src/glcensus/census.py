@@ -16,11 +16,11 @@ Multiplying by |GL_j| turns it into a recurrence for a_j over Z[q]:
     j a_j = sum_{k=1..j} w_{j,k} a_{j-k},   a_0 = 1,
     w_{j,k} = sum_{dm=k} k |GL_j| / (|GL_{j-k}| N(d, m)).
 
-Every factor of a term is sparse, so a_polynomial builds each term from its
-factors over plain coefficient lists, with no polynomial product and no
-general division.  |GL_j| / |GL_{j-k}| is q^(k(2j-k-1)/2) times the k
-binomials q^i - 1 with j-k < i <= j, and N(d, m) is d (q^d - 1) when m = 1
-and d (q^d - 1)^2 q^(d(2m-3)) when m >= 2.  So the (d, m) term is
+Every factor of a term is sparse, so the kernel exp_coefficients builds
+each term from its factors over plain coefficient lists, with no polynomial
+product and no general division.  |GL_j| / |GL_{j-k}| is q^(k(2j-k-1)/2)
+times the k binomials q^i - 1 with j-k < i <= j, and N(d, m) is d (q^d - 1)
+when m = 1 and d (q^d - 1)^2 q^(d(2m-3)) when m >= 2.  So the (d, m) term is
 
     m q^(k(2j-k-1)/2 - [m>=2] d(2m-3)) P / (q^d - 1)^(1 or 2),
     P = a_{j-k} prod_{j-k<i<=j} (q^i - 1),
@@ -30,18 +30,20 @@ P is kept for every k at once: stepping from j-1 to j multiplies each kept
 product by q^j - 1 and adds a_{j-1} (q^j - 1) for k = 1.  Exactly m of the
 i are multiples of d and q^d - 1 divides each such q^i - 1, so the division
 is exact: C_t = C_{t-d} - A_t from the bottom, and the top d coefficients,
-which must vanish, are the remainder.  Every division is checked, then the
-sum of the terms must divide by j and the result must be monic of degree
-j^2 - j; any failure is a ConsistencyError.  a_0, a_1, ... are built once
-per process in one ascending pass.  b_coefficient is then a_n / |GL_n|
-after one reduction.  class_sum keeps the label sum itself as the
-definition-level cross-check for the verification suite and the tests.
+which must vanish, are the remainder.  Every division is checked, and the
+sum of the terms must divide by j; any failure is a ConsistencyError.
 
-block_normalizer is N(d, m) as a polynomial; normalizer_order and the exp
-forms qseries builds of the generating function read it.  a_polynomial
-applies N(d, m) through its factors, and _denominator_shape, which
-class_sum uses, encodes it independently as a q-power, (q^d - 1)-exponents
-and an integer, so the cross-check does not share it.
+The same recurrence over the blocks of a set of multiplicities m gives
+c_j = |GL_j| [t^j] exp(sum t^(dm) / N(d, m)) over those blocks, so the one
+kernel serves a_polynomial (every m) and the qseries exp forms of f1 (m = 1),
+f2 (m >= 2) and fbar (every m).  Every c_j is in Z[q]: f1 gives q^(j(j-1)),
+and a_j = sum_i c1_i c2_{j-i} |GL_j| / (|GL_i| |GL_{j-i}|) makes c2_j
+integral by induction on j.  a_polynomial also requires each a_j to be
+monic of degree j^2 - j, and builds a_0, a_1, ... once per process.
+b_coefficient is a_n / |GL_n| after one reduction; class_sum keeps the label
+sum as the definition-level cross-check.  block_normalizer is N(d, m) as a
+polynomial for normalizer_order; _denominator_shape, which class_sum uses,
+encodes it independently as a q-power, (q^d - 1)-exponents and an integer.
 
 All values are exact and in the formal symbol q: the normaliser orders,
 |GL_n| and a_n are IntPolynomials, and b_n is a reduced RationalFunction.
@@ -54,6 +56,7 @@ prefix and the product forms in qseries all use it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -252,14 +255,12 @@ def b_coefficient(n: int) -> RationalFunction:
 
 @lru_cache(maxsize=None)
 def gl_order(n: int) -> IntPolynomial:
-    """|GL_n(q)| = prod_{i=0..n-1} (q^n - q^i) as an integer polynomial."""
-    result = ONE_POLY
-    for i in range(n):
-        factor = [0] * (n + 1)
-        factor[n] = 1
-        factor[i] = -1
-        result = result * IntPolynomial.from_coeffs(factor)
-    return result
+    """|GL_n(q)| = prod_{i=0..n-1} (q^n - q^i) = q^(n(n-1)/2) prod_{i=1..n} (q^i - 1)
+    as an integer polynomial, one shift-and-subtract per binomial."""
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = _times_binomial(coeffs, i)
+    return IntPolynomial(tuple(coeffs)).shift_up(n * (n - 1) // 2)
 
 
 # a_0, a_1, ...: every census polynomial computed so far, each exactly once
@@ -288,34 +289,31 @@ def _divide_by_binomial(coeffs: list[int], d: int, what: str) -> list[int]:
     return quo
 
 
-def a_polynomial(n: int) -> IntPolynomial:
-    """b_n * |GL_n(q)|: the subgroup count, monic of degree n^2 - n.
-
-    Exact count for q > 2; an upper bound when evaluated at q = 2.
-    Built by j a_j = sum_{k=1..j} w_{j,k} a_{j-k} over Z[q], from a_0 = 1 up,
-    each term from its sparse factors (see the module docstring); every
-    division and the shape of every a_j are checked.
+def exp_coefficients(n: int, multiplicities, name: str,
+                     start: Sequence[IntPolynomial] = (ONE_POLY,)) -> Iterator[IntPolynomial]:
+    """c_j = |GL_j| [t^j] exp(sum t^(dm) / N(d, m)) over the blocks with m in
+    multiplicities, for j = len(start) .. n in one ascending pass from the
+    known c_0, c_1, ... in start; every division is checked (see the module
+    docstring), and a sum not divisible by j is reported for name_j.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a = _census
-    if n < len(a):
-        return a[n]
-    # products[j - k] = a_{j-k} prod_{j-k<i<=j} (q^i - 1) for the current j
+    known = len(start)
+    # products[j - k] = c_{j-k} prod_{j-k<i<=j} (q^i - 1) for the current j
     products: list[list[int]] = []
+    prev = start[0]
     for j in range(1, n + 1):
-        products.append(list(a[j - 1].coeffs))
+        products.append(list(prev.coeffs))
         products = [_times_binomial(p, j) for p in products]
-        if j < len(a):
+        if j < known:
+            prev = start[j]
             continue
         total: list[int] = []
         for k in range(1, j + 1):
             product = products[j - k]
             base_shift = k * (2 * j - k - 1) // 2
             for d in range(1, k + 1):
-                if k % d:
-                    continue
                 m = k // d
+                if k % d or m not in multiplicities:
+                    continue
                 what = f"the ({d},{m}) term of w_{j},{k}"
                 term = _divide_by_binomial(product, d, what)
                 shift = base_shift
@@ -327,8 +325,24 @@ def a_polynomial(n: int) -> IntPolynomial:
                     total.extend([0] * (end - len(total)))
                 total[shift:end] = [t + m * c for t, c in zip(total[shift:end], term)]
         if any(c % j for c in total):
-            raise ConsistencyError(f"{j} a_{j} / {j} is not an integer polynomial")
-        poly = IntPolynomial(tuple(c // j for c in total))
+            raise ConsistencyError(f"{j} {name}_{j} / {j} is not an integer polynomial")
+        prev = IntPolynomial(tuple(c // j for c in total))
+        yield prev
+
+
+def a_polynomial(n: int) -> IntPolynomial:
+    """b_n * |GL_n(q)|: the subgroup count, monic of degree n^2 - n.
+
+    Exact count for q > 2; an upper bound when evaluated at q = 2.
+    exp_coefficients over every block, continued from the a_j already
+    built; the shape of every new a_j is checked before it is kept.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    a = _census
+    if n < len(a):
+        return a[n]
+    for j, poly in enumerate(exp_coefficients(n, range(1, n + 1), "a", a), start=len(a)):
         if poly.degree != j * j - j or poly.leading != 1:
             raise ConsistencyError(
                 f"census polynomial for n={j} has degree {poly.degree}, leading {poly.leading}")

@@ -212,12 +212,14 @@ def cmd_oracle(args) -> int:
 def cmd_clique(args) -> int:
     budget = _budget_from_args(args)
     solver_budget = clique.SolverBudget(seconds=args.timeout)
-    # the witness file is opened before the search, so a bad path costs nothing
-    witness_file = open(args.emit_witness, "w") if args.emit_witness else contextlib.nullcontext()
+    # the witness file is opened before the search, so a bad path costs
+    # nothing, and emptied only after it, so a refused search leaves it as it was
+    witness_file = open(args.emit_witness, "a") if args.emit_witness else contextlib.nullcontext()
     with witness_file as handle:
         result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
         if handle is not None:
             group = oracle.gl_group(args.n, args.q, budget)
+            handle.truncate(0)
             for idx in result.witness:
                 flat = [str(x) for row in group.mats[idx].rows for x in row]
                 handle.write(" ".join(flat) + "\n")

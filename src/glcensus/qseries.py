@@ -1,15 +1,16 @@
 """Truncated formal power series in t, and the census generating function.
 
-Series arithmetic (ps_mul, ps_exp) runs in one coefficient ring, RATFUNC:
-reduced rational functions of q, the ring in which the census generating
-function and its factors have closed per-coefficient forms.
+Series arithmetic (ps_mul) runs in one coefficient ring, RATFUNC: reduced
+rational functions of q, the ring in which the census generating function
+and its factors have closed per-coefficient forms.
 
 The census generating function is fbar = exp(sum_{d,m} t^(dm) / N(d, m)),
-with N(d, m) = census.block_normalizer(d, m) the normaliser order of one
-block.  It factors as fbar = f1 * f2, where f1 collects the multiplicity-one
-blocks (maximal tori) and f2 the blocks of multiplicity at least two.  The
-exp form of each is one ps_exp of one log series, the same log/exp
-recurrence census runs at integer points.  f1 and f2 also have other,
+with N(d, m) the normaliser order of one block.  It factors as
+fbar = f1 * f2, where f1 collects the multiplicity-one blocks (maximal tori)
+and f2 the blocks of multiplicity at least two.  The exp form of each is
+c_j / |GL_j| at t^j, with c_j in Z[q] from census.exp_coefficients, the
+checked recurrence that also builds the census polynomials a_n, run over
+the blocks of the factor's multiplicities.  f1 and f2 also have other,
 provably equal forms (closed sum, infinite product), and the builders below
 expose all of them so the equalities can be tested coefficient by
 coefficient.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from glcensus.census import block_normalizer, euler_table
+from glcensus.census import euler_table, exp_coefficients, gl_order
 from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
@@ -36,7 +37,6 @@ from glcensus.exactalg import (
     PoleError,
     RationalFunction,
     make_rf,
-    rf_from_fraction,
 )
 
 FORM_EXP = "exp"
@@ -99,13 +99,6 @@ class PowerSeries:
         return self.coeffs[k]
 
 
-def _require_ratfunc(*series: PowerSeries) -> None:
-    if any(s.ring != RATFUNC for s in series):
-        raise RingMismatchError("series arithmetic runs over rational functions only")
-    if len({s.order for s in series}) > 1:
-        raise RingMismatchError("series have different truncation orders")
-
-
 def ps_from_dict(order: int, entries: dict) -> PowerSeries:
     coeffs = [RF_ZERO] * (order + 1)
     for k, c in entries.items():
@@ -116,7 +109,10 @@ def ps_from_dict(order: int, entries: dict) -> PowerSeries:
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at t^order; zero coefficients are skipped."""
-    _require_ratfunc(a, b)
+    if a.ring != RATFUNC or b.ring != RATFUNC:
+        raise RingMismatchError("series arithmetic runs over rational functions only")
+    if a.order != b.order:
+        raise RingMismatchError("series have different truncation orders")
     out = [RF_ZERO] * (a.order + 1)
     for i, ca in enumerate(a.coeffs):
         if ca.is_zero:
@@ -126,26 +122,6 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             if cb.is_zero:
                 continue
             out[i + j] = out[i + j] + ca * cb
-    return PowerSeries(a.order, tuple(out), RATFUNC)
-
-
-def ps_exp(a: PowerSeries) -> PowerSeries:
-    """Exponential of a series with zero constant term, exact in q.
-
-    F = exp(a) satisfies F' = a' F, so F_0 = 1 and
-    j F_j = sum_{k=1..j} k a_k F_{j-k}: O(order^2) products.
-    """
-    _require_ratfunc(a)
-    if not a.coeffs[0].is_zero:
-        raise ValueError("ps_exp requires a zero constant term")
-    k_a = [rf_from_fraction(Fraction(k)) * c for k, c in enumerate(a.coeffs)]
-    out = [RF_ONE]
-    for j in range(1, a.order + 1):
-        acc = RF_ZERO
-        for k in range(1, j + 1):
-            if not k_a[k].is_zero and not out[j - k].is_zero:
-                acc = acc + k_a[k] * out[j - k]
-        out.append(rf_from_fraction(Fraction(1, j)) * acc)
     return PowerSeries(a.order, tuple(out), RATFUNC)
 
 
@@ -192,13 +168,12 @@ def _check_orders(order: int, u_order: int = 0) -> None:
         raise ValueError(f"truncation orders must be nonnegative (order {order}, u_order {u_order})")
 
 
-def _exp_form(order: int, multiplicities: range) -> PowerSeries:
-    """exp(sum of t^(dm) / N(d, m) over the blocks with m in multiplicities)."""
-    log = [RF_ZERO] * (order + 1)
-    for m in multiplicities:
-        for d in range(1, order // m + 1):
-            log[d * m] = log[d * m] + make_rf(ONE_POLY, block_normalizer(d, m))
-    return ps_exp(PowerSeries(order, tuple(log), RATFUNC))
+def _exp_form(order: int, multiplicities: range, name: str) -> PowerSeries:
+    """exp(sum of t^(dm) / N(d, m) over the blocks with m in multiplicities):
+    c_j / |GL_j| at t^j, every c_j from one checked census pass."""
+    c = list(exp_coefficients(order, multiplicities, name))
+    return PowerSeries(order, (RF_ONE,) + tuple(make_rf(cj, gl_order(j))
+                                                for j, cj in enumerate(c, start=1)), RATFUNC)
 
 
 def _product_form(order: int, u_order: int, factors) -> PowerSeries:
@@ -213,14 +188,15 @@ def _product_form(order: int, u_order: int, factors) -> PowerSeries:
 def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeries:
     """The maximal-torus factor of the census generating function.
 
-    exp form:      exp(sum_d t^d / N(d, 1)), N(d, 1) = d (q^d - 1)  [RATFUNC]
+    exp form:      exp(sum_d t^d / N(d, 1)), N(d, 1) = d (q^d - 1), as
+                   c_j / |GL_j| from the census recurrence over m = 1  [RATFUNC]
     sum form:      sum_d t^d * q^(d(d-1)/2) / prod_i (q^i - 1)       [RATFUNC]
     product form:  prod_{i>=0} (1 - q^-(i+1) t)^-1, an integer table
                    in u = 1/q truncated at u^u_order                [USERIES]
     """
     _check_orders(order, u_order)
     if form == FORM_EXP:
-        return _exp_form(order, range(1, 2))
+        return _exp_form(order, range(1, 2), "|GL| f1")
     if form == FORM_SUM:
         entries = {}
         for d in range(0, order + 1):
@@ -239,13 +215,14 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
     """The repeated-block factor of the census generating function.
 
     exp form:      exp(sum_{m>=2, d} t^(dm) / N(d, m)),
-                   N(d, m) = d (q^d - 1)^2 q^(d(2m-3))                   [RATFUNC]
+                   N(d, m) = d (q^d - 1)^2 q^(d(2m-3)), as c_j / |GL_j|
+                   from the census recurrence over m >= 2               [RATFUNC]
     product form:  prod_{m>=2, i,j>=0} (1 - q^-(i+j+2m-1) t^m)^-1, an
                    integer table in u = 1/q truncated at u^u_order       [USERIES]
     """
     _check_orders(order, u_order)
     if form == FORM_EXP:
-        return _exp_form(order, range(2, order + 1))
+        return _exp_form(order, range(2, order + 1), "|GL| f2")
     if form == FORM_PRODUCT:
         # the s - 2m + 2 pairs (i, j) with i + j + 2m - 1 = s give one factor
         # with exponent s - 2m + 2
@@ -258,7 +235,8 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 
 
 def build_fbar(order: int) -> PowerSeries:
-    """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)) with
-    one ps_exp over all blocks; the t^n coefficient is b_n."""
+    """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)), from
+    the census recurrence over all blocks: the t^n coefficient is
+    b_n = a_n / |GL_n|."""
     _check_orders(order)
-    return _exp_form(order, range(1, order + 1))
+    return _exp_form(order, range(1, order + 1), "a")

@@ -187,6 +187,19 @@ def test_clique_unwritable_witness_is_refused_before_the_search(capsys, tmp_path
     assert "Traceback" not in out + err
 
 
+def test_refused_clique_leaves_the_witness_file_as_it_was(capsys, tmp_path):
+    path = tmp_path / "witness.txt"
+    path.write_bytes(b"an old witness\n")
+    code, out, _ = run_cli(capsys, "clique", "omega", "--n", "3", "--q", "3", "--budget", "10",
+                           "--emit-witness", str(path))
+    assert code == 2 and set(json.loads(out)) == {"error"}
+    assert path.read_bytes() == b"an old witness\n"
+    # a search that returns replaces the old content
+    code, _, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", "2",
+                         "--emit-witness", str(path))
+    assert code == 0 and len(path.read_text().splitlines()) == 4
+
+
 def test_python_m_glcensus(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

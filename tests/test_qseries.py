@@ -1,11 +1,11 @@
+import re
 from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from glcensus.census import b_coefficient, gl_order
+from glcensus import census, qseries, verify
+from glcensus.census import ConsistencyError, b_coefficient, gl_order
 from glcensus.exactalg import ONE_POLY, IntPolynomial, PoleError, make_rf, rf_from_fraction
 from glcensus.qseries import (
     FORM_EXP,
@@ -19,7 +19,6 @@ from glcensus.qseries import (
     build_f1,
     build_f2,
     build_fbar,
-    ps_exp,
     ps_from_dict,
     ps_mul,
     rf_to_useries,
@@ -64,31 +63,6 @@ def test_ps_mul_mismatch():
         ps_mul(ps_one(2), product)
     with pytest.raises(RingMismatchError):
         ps_mul(product, product)
-    with pytest.raises(RingMismatchError):
-        ps_exp(build_f2(2, FORM_PRODUCT, 5))
-
-
-def test_ps_exp_zero_and_t():
-    assert ps_exp(const_series(3, {})).coeffs == ps_one(3).coeffs
-    e = ps_exp(const_series(3, {1: 1}))
-    assert [c for c in e.coeffs] == [
-        rf([1]),
-        rf([1]),
-        rf_from_fraction(Fraction(1, 2)),
-        rf_from_fraction(Fraction(1, 6)),
-    ]
-
-
-def test_ps_exp_of_log_geometric():
-    # -log(1-t) = sum t^k/k; its exponential is the geometric series
-    order = 4
-    log_series = ps_from_dict(order, {k: rf_from_fraction(Fraction(1, k)) for k in range(1, order + 1)})
-    assert ps_exp(log_series).coeffs == tuple(rf([1]) for _ in range(order + 1))
-
-
-def test_ps_exp_requires_zero_constant():
-    with pytest.raises(ValueError):
-        ps_exp(ps_one(3))
 
 
 def test_f1_coefficients():
@@ -196,25 +170,8 @@ def test_ucoeff_order_mismatch():
             UCoeff(3, coeffs)
 
 
-small_rfs = st.builds(
-    lambda a, b, c: make_rf(P([a, b]), P([c, 1])),
-    st.integers(-3, 3),
-    st.integers(-3, 3),
-    st.integers(1, 3),
-)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(small_rfs, min_size=1, max_size=3), st.lists(small_rfs, min_size=1, max_size=3))
-def test_exp_is_additive(acoeffs, bcoeffs):
-    order = 4
-    a = ps_from_dict(order, dict(enumerate(acoeffs, start=1)))
-    b = ps_from_dict(order, dict(enumerate(bcoeffs, start=1)))
-    assert ps_exp(ps_add(a, b)).coeffs == ps_mul(ps_exp(a), ps_exp(b)).coeffs
-
-
 def power_sum_exp(a: PowerSeries) -> PowerSeries:
-    """The former ps_exp, sum_k a^k / k!, kept as the reference for the recurrence."""
+    """exp(a) as the power sum sum_k a^k / k!, the reference for the exp forms."""
     result = ps_one(a.order)
     term = ps_one(a.order)
     for k in range(1, a.order + 1):
@@ -223,20 +180,6 @@ def power_sum_exp(a: PowerSeries) -> PowerSeries:
         term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), RATFUNC)
         result = ps_add(result, term)
     return result
-
-
-@st.composite
-def exp_arguments(draw):
-    """A series with zero constant term, with gaps."""
-    order = draw(st.integers(0, 5))
-    entries = {k: draw(small_rfs) for k in range(1, order + 1) if draw(st.booleans())}
-    return ps_from_dict(order, entries)
-
-
-@settings(max_examples=40, deadline=None)
-@given(exp_arguments())
-def test_ps_exp_matches_power_sum_reference(a):
-    assert ps_exp(a).coeffs == power_sum_exp(a).coeffs
 
 
 def per_block_product(order: int, multiplicities: range) -> PowerSeries:
@@ -258,3 +201,28 @@ def per_block_product(order: int, multiplicities: range) -> PowerSeries:
 def test_exp_forms_match_per_block_product(order):
     assert build_f1(order, FORM_EXP).coeffs == per_block_product(order, range(1, 2)).coeffs
     assert build_f2(order, FORM_EXP).coeffs == per_block_product(order, range(2, order + 1)).coeffs
+    assert build_fbar(order).coeffs == per_block_product(order, range(1, order + 1)).coeffs
+
+
+def test_f2_exp_form_checks_its_divisions(monkeypatch):
+    # q - 1 read as q + 1: (q + 1)(q^2 - 1) / (q - 1) = (q + 1)^2, and the
+    # second division of the (1,2) block leaves the remainder 4
+    real = census._times_binomial
+
+    def times(coeffs, i):
+        return list((P(coeffs) * P([1, 1])).coeffs) if i == 1 else real(coeffs, i)
+    monkeypatch.setattr(census, "_times_binomial", times)
+    message = "the (1,2) term of w_2,2: division by q^1 - 1 leaves a remainder"
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        build_f2(4, FORM_EXP)
+
+
+def test_fbar_check_multiplies_the_factors(monkeypatch):
+    assert verify.check_fbar_vs_class_sum()[0] == verify.PASS
+    real = qseries.build_f2
+
+    def wrong_last_coefficient(order, form):
+        f2 = real(order, form)
+        return PowerSeries(order, f2.coeffs[:-1] + (rf([1]),), RATFUNC)
+    monkeypatch.setattr(qseries, "build_f2", wrong_last_coefficient)
+    assert verify.check_fbar_vs_class_sum() == (verify.FAIL, "t^12")
