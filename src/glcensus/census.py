@@ -289,7 +289,7 @@ def _divide_by_binomial(coeffs: list[int], d: int, what: str) -> list[int]:
     return quo
 
 
-def exp_coefficients(n: int, multiplicities, name: str,
+def exp_coefficients(n: int, multiplicities: range, name: str,
                      start: Sequence[IntPolynomial] = (ONE_POLY,)) -> Iterator[IntPolynomial]:
     """c_j = |GL_j| [t^j] exp(sum t^(dm) / N(d, m)) over the blocks with m in
     multiplicities, for j = len(start) .. n in one ascending pass from the
