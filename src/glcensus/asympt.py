@@ -93,10 +93,6 @@ class RatInterval:
         object.__setattr__(out, "hi", hi)
         return out
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def shift(self, x: Fraction) -> RatInterval:
         """The translate [lo - x, hi - x]; nonempty because self is."""
         return self._certified(self.lo - x, self.hi - x)

@@ -99,10 +99,6 @@ class MuFunction:
                 raise ValueError("support keys must be strictly ascending in (d, m)")
             prev = (d, m)
 
-    @property
-    def weight(self) -> int:
-        return sum(d * m * mult for (d, m), mult in self.items)
-
     def __str__(self) -> str:
         if not self.items:
             return "{}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -213,16 +214,22 @@ def cmd_clique(args) -> int:
     budget = _budget_from_args(args)
     solver_budget = clique.SolverBudget(seconds=args.timeout)
     # the witness file is opened before the search, so a bad path costs
-    # nothing, and emptied only after it, so a refused search leaves it as it was
-    witness_file = open(args.emit_witness, "a") if args.emit_witness else contextlib.nullcontext()
-    with witness_file as handle:
-        result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
+    # nothing, and emptied only after it; a refused search leaves an existing
+    # file as it was and removes one this request created
+    path = args.emit_witness
+    created = bool(path) and not os.path.lexists(path)
+    with open(path, "a") if path else contextlib.nullcontext() as handle:
+        try:
+            result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
         if handle is not None:
             group = oracle.gl_group(args.n, args.q, budget)
             handle.truncate(0)
-            for idx in result.witness:
-                flat = [str(x) for row in group.mats[idx].rows for x in row]
-                handle.write(" ".join(flat) + "\n")
+            for entries in group.decode(group.elements[list(result.witness)]).reshape(-1, args.n**2).tolist():
+                handle.write(" ".join(map(str, entries)) + "\n")
     _emit({
         "n": args.n,
         "q": args.q,

@@ -36,7 +36,6 @@ import numpy as np
 from glcensus.census import UnsupportedRegimeError, a_polynomial, omega_closed
 from glcensus.oracle import (
     Budget,
-    FqMatrix,
     GLGroup,
     check_scan_budget,
     commuting_table,
@@ -110,9 +109,8 @@ def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     order = _degeneracy_order(adj)
     verts_ordered = tuple(verts[k] for k in order)
     rows = _bits_from_bools(adj[np.ix_(order, order)])
-    identity_index = group.index_of(FqMatrix.identity(group.field, n))
     return NonComGraph(n=n, q=q, vertices=verts_ordered, adjacency=rows,
-                       identity_index=identity_index)
+                       identity_index=group.center_indices()[0])
 
 
 def _degeneracy_order(adj: np.ndarray) -> list[int]:

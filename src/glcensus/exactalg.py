@@ -374,12 +374,6 @@ def make_rf(num: IntPolynomial, den: IntPolynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def rf_from_fraction(x: Fraction | int) -> RationalFunction:
-    x = Fraction(x)
-    return RationalFunction(IntPolynomial.const(x.numerator), IntPolynomial.const(x.denominator)) \
-        if x else RF_ZERO
-
-
 RF_ZERO = RationalFunction(ZERO_POLY, ONE_POLY)
 RF_ONE = RationalFunction(ONE_POLY, ONE_POLY)
 

@@ -4,11 +4,11 @@ Everything here is explicit enumeration over F_q, q = p^e.  ``Fq`` builds
 each field from one definition, its regular representation over F_p (Lidl
 and Niederreiter, Finite Fields, ch. 2): element a becomes the e x e matrix
 ``Fq.blocks[a]`` of multiplication by a, and every field table is read off
-those matrices.  Matrices over F_q are tuples of elements, so every
-enumeration order is reproducible, and the group work runs in numpy on their
-lifts, each entry replaced by its block.  The lift is an injective ring
-homomorphism, so rank and equality over F_q are elimination mod p and array
-equality on d x d matrices over F_p, d = ne.
+those matrices.  A group element is kept as its code (its n^2 entries as
+base-q digits, row-major), enumerated in ascending code order, and the group
+work runs in numpy on its lift, each entry replaced by its block.  The lift
+is an injective ring homomorphism, so rank and equality over F_q are
+elimination mod p and array equality on d x d matrices over F_p, d = ne.
 
 The two all-pairs scans are 2-D products of residues, run in floating point
 where every partial sum is an integer the float holds exactly: float32 below
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -236,10 +236,6 @@ class FqMatrix:
     def identity(field: Fq, n: int) -> FqMatrix:
         return FqMatrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def scalar(field: Fq, n: int, c: int) -> FqMatrix:
-        return FqMatrix(field, tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __matmul__(self, other: FqMatrix) -> FqMatrix:
         F = self.field
         n = self.n
@@ -400,8 +396,10 @@ def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
 
 
 class GLGroup:
-    """Fully enumerated GL_n(q) in lexicographic entry order, with caches:
-    ``mats`` as ``FqMatrix`` and ``lifted`` as one stack over F_p."""
+    """Fully enumerated GL_n(q), each element stored once: ``elements`` holds
+    the codes in ascending order, ``lifted`` the matching stack over F_p.
+    ``mats`` is a view of them as ``FqMatrix``, decoded on first read and kept
+    for perfbench and the tests; no package path reads it."""
 
     def __init__(self, n: int, q: int):
         self.n = n
@@ -410,27 +408,31 @@ class GLGroup:
         self.order = gl_order(n).eval(q)
         p, e = self.field.p, self.field.e
         d = n * e
-        # weight of digit i of entry (r, c): p^i q^(n^2 - 1 - (rn + c))
-        place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-        self._weights = (place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
-        entries, lifted = [], []
+        # place of entry (r, c) in a code: q^(n^2 - 1 - (rn + c)); digit i of it weighs p^i more
+        self._place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        self._weights = (self._place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
+        elements, lifted = [], []
         for s in _slices(q ** (n * n), d * d):
-            block = (np.arange(s.start, s.stop)[:, None] // place % q).reshape(-1, n, n)
-            lift = self.lift(block)
+            code = np.arange(s.start, s.stop)
+            lift = self.lift(self.decode(code))
             invertible = _rref(lift, p)[1] == d
-            entries.append(block[invertible])
+            elements.append(code[invertible])
             lifted.append(lift[invertible])
+        self.elements = np.concatenate(elements)
         self.lifted = np.concatenate(lifted)
-        self.mats: tuple[FqMatrix, ...] = tuple(
-            FqMatrix(self.field, tuple(map(tuple, rows))) for rows in np.concatenate(entries).tolist())
-        if len(self.mats) != self.order:
+        if len(self.elements) != self.order:
             raise AssertionError("enumeration does not match the group order")
-        self._index = {M.rows: i for i, M in enumerate(self.mats)}
         self._cyclic: tuple[bool, ...] | None = None
         self._keys: np.ndarray | None = None
 
-    def index_of(self, M: FqMatrix) -> int:
-        return self._index[M.rows]
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The F_q entries (..., n, n) of an array of codes."""
+        return (codes[..., None] // self._place % self.q).reshape(codes.shape + (self.n, self.n))
+
+    @cached_property
+    def mats(self) -> tuple[FqMatrix, ...]:
+        return tuple(FqMatrix(self.field, tuple(map(tuple, rows)))
+                     for rows in self.decode(self.elements).tolist())
 
     def lift(self, entries) -> np.ndarray:
         """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
@@ -443,15 +445,16 @@ class GLGroup:
         """One integer per matrix in a stack of block columns (..., ne, n):
         column 0 of every e x e block of a reduced lifted matrix, which holds
         the digits of its n^2 F_q entries, read as base-q digits in row-major
-        order (the group's enumeration order is ascending codes).  The block
-        columns of a lifted stack are ``lifted[..., ::e]``."""
+        order, as in ``elements``.  The block columns of a lifted stack are
+        ``lifted[..., ::e]``."""
         return np.einsum("...rj,rj->...", columns, self._weights.reshape(-1, self.n))
 
     def center_indices(self) -> tuple[int, ...]:
-        out = []
-        for c in range(1, self.q):
-            out.append(self.index_of(FqMatrix.scalar(self.field, self.n, c)))
-        return tuple(sorted(out))
+        """Indices of the scalars cI, c = 1..q-1, ascending: the code of cI is c
+        times the sum of the diagonal places, so the identity comes first."""
+        diagonal = int(self._place[:: self.n + 1].sum())
+        codes = diagonal * np.arange(1, self.q, dtype=np.int64)
+        return tuple(np.searchsorted(self.elements, codes).tolist())
 
     def cyclic_flags(self) -> tuple[bool, ...]:
         """Whether each element M is cyclic: the F_p-span of the t^j M^k

@@ -120,7 +120,7 @@ def test_phi_weights_and_uniqueness():
         mus = enumerate_phi(n)
         assert len(set(mus)) == len(mus)
         for mu in mus:
-            assert mu.weight == n
+            assert sum(d * m * mult for (d, m), mult in mu.items) == n
 
 
 def test_normalizer_order_single_blocks():

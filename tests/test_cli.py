@@ -166,12 +166,17 @@ def test_oracle_task_payloads(capsys, task, expect):
 
 
 def test_clique_emit_witness(capsys, tmp_path):
-    path = tmp_path / "witness.txt"
-    code, out, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", "2",
-                           "--emit-witness", str(path))
-    assert code == 0 and json.loads(out)["omega"] == 4
-    rows = [line.split() for line in path.read_text().splitlines()]
-    assert len(rows) == 4 and all(len(r) == 4 for r in rows)
+    # each row is the row-major entries of one witness element, in the order
+    # of the witness the search returns
+    for q, omega in ((2, 4), (3, 13)):
+        path = tmp_path / f"witness{q}.txt"
+        code, out, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", str(q),
+                               "--emit-witness", str(path))
+        assert code == 0 and json.loads(out)["omega"] == omega
+        group = oracle.gl_group(2, q)
+        witness = clique.compute_omega(2, q)[0].witness
+        expect = [" ".join(str(x) for row in group.mats[i].rows for x in row) for i in witness]
+        assert path.read_text().splitlines() == expect
 
 
 def test_clique_unwritable_witness_is_refused_before_the_search(capsys, tmp_path, monkeypatch):
@@ -198,6 +203,14 @@ def test_refused_clique_leaves_the_witness_file_as_it_was(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", "2",
                          "--emit-witness", str(path))
     assert code == 0 and len(path.read_text().splitlines()) == 4
+
+
+def test_refused_clique_creates_no_witness_file(capsys, tmp_path):
+    path = tmp_path / "new.txt"
+    code, out, _ = run_cli(capsys, "clique", "omega", "--n", "3", "--q", "3", "--budget", "10",
+                           "--emit-witness", str(path))
+    assert code == 2 and set(json.loads(out)) == {"error"}
+    assert not path.exists()
 
 
 def test_python_m_glcensus(tmp_path):

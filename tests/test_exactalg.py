@@ -17,7 +17,6 @@ from glcensus.exactalg import (
     poly_from_json,
     poly_gcd,
     poly_to_json,
-    rf_from_fraction,
     rf_from_json,
     rf_to_json,
 )
@@ -201,11 +200,6 @@ def test_poly_gcd_falls_back_to_prs_when_every_heuristic_try_fails(monkeypatch):
     assert [poly_gcd(a, b) for a, b in cases] == expected
     assert len(calls) == len(cases)
     assert expected[0] == P([-1, 1]) and expected[3] == P([1, 1])
-
-
-def test_rf_from_fraction():
-    assert rf_from_fraction(Fraction(3, 4)) == rf([3], [4])
-    assert rf_from_fraction(Fraction(-2, 7)).eval(10) == Fraction(-2, 7)
 
 
 def fraction_divmod(a: IntPolynomial, b: IntPolynomial):

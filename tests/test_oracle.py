@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glcensus import oracle
+from glcensus import cli, oracle
 from glcensus.census import a_polynomial, gl_order
+from glcensus.clique import build_graph, seed_clique
 from glcensus.oracle import (
     Budget,
     BudgetError,
@@ -15,6 +16,7 @@ from glcensus.oracle import (
     _gl_group_cached,
     _rref,
     centralizer,
+    centralizer_count_task,
     commuting_table,
     count_cyclic_centralizers,
     fqpoly_pow,
@@ -27,6 +29,7 @@ from glcensus.oracle import (
     noncyclic_centralizer_witness,
     normalizer_of_set,
     regular_unipotent,
+    regular_unipotent_task,
     wall_bound_task,
 )
 
@@ -46,6 +49,14 @@ def encode(M: FqMatrix) -> int:
         for x in row:
             enc = enc * M.field.q + x
     return enc
+
+
+def index_of(group, M: FqMatrix) -> int:
+    """The index of M in the group: the position of its code among the
+    ascending ``elements``."""
+    i = int(np.searchsorted(group.elements, encode(M)))
+    assert i < group.order and group.elements[i] == encode(M), M
+    return i
 
 
 def is_cyclic(M: FqMatrix) -> bool:
@@ -367,7 +378,7 @@ def test_jm_block_min_poly_grid():
                     assert is_cyclic(J)
                     if J.n <= 3 and f[0]:  # f(0) != 0 makes J invertible
                         group = gl_group(J.n, q)
-                        assert group.cyclic_flags()[group.index_of(J)], (q, f, m)
+                        assert group.cyclic_flags()[index_of(group, J)], (q, f, m)
 
 
 def test_char_poly_against_leibniz():
@@ -440,12 +451,12 @@ def test_regular_unipotent_is_cyclic():
     u = regular_unipotent(F2, 3)
     assert min_poly(u) == fqpoly_pow(F2, (1, 1), 3)  # (t-1)^3 = (t+1)^3 over F_2
     group = gl_group(3, 2)
-    assert group.cyclic_flags()[group.index_of(u)]
+    assert group.cyclic_flags()[index_of(group, u)]
 
 
 def test_identity_not_cyclic():
     group = gl_group(2, 3)
-    assert not group.cyclic_flags()[group.index_of(FqMatrix.identity(group.field, 2))]
+    assert not group.cyclic_flags()[index_of(group, FqMatrix.identity(group.field, 2))]
 
 
 def test_witness_matrix_not_cyclic_nor_its_centralizer():
@@ -455,7 +466,7 @@ def test_witness_matrix_not_cyclic_nor_its_centralizer():
     assert cset.order == 16
     group = gl_group(4, 2)
     flags = group.cyclic_flags()
-    assert not flags[group.index_of(x)]
+    assert not flags[index_of(group, x)]
     assert all(not flags[i] for i in cset.members)
     # the centralizer is all unipotent: every member minus 1 has rank <= 2
     ranks = _rref(group.lifted[list(cset.members)] - np.eye(4, dtype=np.int64), 2)[1]
@@ -516,12 +527,12 @@ def test_centralizer_set_properties():
     for idx in (1, 5, 11):
         cset = centralizer(group.mats[idx])
         members = set(cset.members)
-        assert group.index_of(FqMatrix.identity(group.field, 2)) in members
+        assert index_of(group, FqMatrix.identity(group.field, 2)) in members
         # closure under multiplication
         for i in list(members)[:6]:
             for j in list(members)[:6]:
                 prod = group.mats[i] @ group.mats[j]
-                assert group.index_of(prod) in members
+                assert index_of(group, prod) in members
         assert gl_order(2).eval(3) % cset.order == 0
 
 
@@ -597,10 +608,13 @@ def test_center_indices():
 # --- the lifted representation against the per-element reference -----------
 
 
-@pytest.mark.parametrize("q", [4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 def test_lift_codes_roundtrip(q):
     group = gl_group(2, q)
     codes = group.codes(group.lifted[..., ::group.field.e])
+    assert group.elements.dtype == np.int64
+    assert (np.diff(group.elements) > 0).all()
+    assert (codes == group.elements).all()
     assert codes.tolist() == [encode(M) for M in group.mats]
     assert group.lifted.shape[1:] == (2 * group.field.e,) * 2
 
@@ -757,8 +771,34 @@ def test_enumeration_matches_determinant_filter(n, q):
         M = FqMatrix(F, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n)))
         if char_poly(M)[0]:  # det M = (-1)^n char_poly(M)(0)
             expect.append(M)
-    assert group.mats == tuple(expect)
+    assert group.elements.tolist() == [encode(M) for M in expect]
+    assert group.mats == tuple(expect)  # decoded from the codes
     assert (group.lifted == group.lift([M.rows for M in expect])).all()
+
+
+def test_package_paths_leave_mats_unbuilt(monkeypatch, capsys, tmp_path):
+    """The package works on the codes and the lifts alone: on a fresh group,
+    not the cached one, the census, the flags, the centre, a centralizer, a
+    normalizer, the graph, the seed, the oracle tasks and the CLI witness
+    file never decode ``mats``."""
+    group = oracle.GLGroup(2, 3)
+    monkeypatch.setattr(oracle, "_gl_group_cached", lambda n, q: group)
+    assert gl_group(2, 3) is group
+    reps = group.cyclic_centralizer_census()
+    assert count_cyclic_centralizers(2, 3) == (len(reps), reps)
+    assert sum(group.cyclic_flags()) == 46  # all but the two scalars
+    assert group.center_indices() == (12, 31)
+    cset = centralizer(regular_unipotent(group.field, 2))
+    assert (cset.order, normalizer_of_set(cset)) == (6, 12)
+    assert build_graph(2, 3).vertex_count == 46
+    assert len(seed_clique(2, 3)) == 13
+    assert wall_bound_task(2, 3)[2]
+    assert centralizer_count_task(2, 3)[2]
+    assert regular_unipotent_task(2, 3) == (6, 6, 12, 12)
+    assert cli.main(["clique", "omega", "--n", "2", "--q", "3",
+                     "--emit-witness", str(tmp_path / "witness.txt")]) == 0
+    capsys.readouterr()
+    assert "mats" not in vars(group)
 
 
 @pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9),

@@ -6,7 +6,7 @@ import pytest
 
 from glcensus import census, qseries, verify
 from glcensus.census import ConsistencyError, b_coefficient, gl_order
-from glcensus.exactalg import ONE_POLY, IntPolynomial, PoleError, make_rf, rf_from_fraction
+from glcensus.exactalg import ONE_POLY, IntPolynomial, PoleError, make_rf
 from glcensus.qseries import (
     FORM_EXP,
     FORM_PRODUCT,
@@ -31,6 +31,12 @@ def rf(num, den=(1,)):
     return make_rf(P(num), P(den))
 
 
+def rf_const(x):
+    """The rational x as a constant rational function."""
+    x = Fraction(x)
+    return rf([x.numerator], [x.denominator])
+
+
 def ps_one(order):
     return ps_from_dict(order, {0: rf([1])})
 
@@ -41,7 +47,7 @@ def ps_add(a, b):
 
 
 def const_series(order, values):
-    return ps_from_dict(order, {k: rf_from_fraction(Fraction(v)) for k, v in values.items()})
+    return ps_from_dict(order, {k: rf_const(v) for k, v in values.items()})
 
 
 def test_ps_mul_basic():
@@ -176,7 +182,7 @@ def power_sum_exp(a: PowerSeries) -> PowerSeries:
     term = ps_one(a.order)
     for k in range(1, a.order + 1):
         term = ps_mul(term, a)
-        inv_k = rf_from_fraction(Fraction(1, k))
+        inv_k = rf_const(Fraction(1, k))
         term = PowerSeries(a.order, tuple(c * inv_k for c in term.coeffs), RATFUNC)
         result = ps_add(result, term)
     return result
