@@ -326,7 +326,7 @@ def noncyclic_centralizer_witness() -> FqMatrix:
 
 
 # Entries of the largest stack one step of the group work materialises at once.
-_CHUNK_ENTRIES = 2_000_000
+_CHUNK_ENTRIES = 500_000
 
 
 def _slices(count: int, entries_per_item: int):
@@ -424,6 +424,7 @@ class GLGroup:
             raise AssertionError("enumeration does not match the group order")
         self._cyclic: tuple[bool, ...] | None = None
         self._keys: np.ndarray | None = None
+        self._census: tuple[int, ...] | None = None
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """The F_q entries (..., n, n) of an array of codes."""
@@ -489,17 +490,21 @@ class GLGroup:
 
         C(M) = F_q[M]^x for cyclic M, so equal keys (equal algebras) are
         exactly equal centralizers.  Cross-check: every cyclic element
-        commutes with the representative of its key.
+        commutes with the representative of its key.  The result is kept,
+        so the keys are sorted and cross-checked once per group.
         """
-        cyclic = np.flatnonzero(self.cyclic_flags())
-        _, first, key = np.unique(self._keys[cyclic], axis=0, return_index=True, return_inverse=True)
-        owner = cyclic[first][key.reshape(-1)]
-        p = self.field.p
-        for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
-            A, R = self.lifted[cyclic[s]], self.lifted[owner[s]]
-            if not (A @ R % p == R @ A % p).all():
-                raise AssertionError("a cyclic element does not commute with its key's representative")
-        return tuple(sorted(cyclic[first].tolist()))
+        if self._census is None:
+            cyclic = np.flatnonzero(self.cyclic_flags())
+            _, first, key = np.unique(self._keys[cyclic], axis=0, return_index=True,
+                                      return_inverse=True)
+            owner = cyclic[first][key.reshape(-1)]
+            p = self.field.p
+            for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
+                A, R = self.lifted[cyclic[s]], self.lifted[owner[s]]
+                if not (A @ R % p == R @ A % p).all():
+                    raise AssertionError("a cyclic element does not commute with its key's representative")
+            self._census = tuple(sorted(cyclic[first].tolist()))
+        return self._census
 
 
 @lru_cache(maxsize=None)

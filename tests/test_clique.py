@@ -72,6 +72,14 @@ def test_covering_upper_bound():
             covering_upper_bound(n, q)
 
 
+def test_position_of_every_vertex():
+    graph = build_graph(2, 3)
+    assert [graph.position_of(e) for e in graph.vertices] == list(range(graph.vertex_count))
+    with pytest.raises(ValueError):
+        graph.position_of(graph.identity_index)  # central, so not a vertex
+    assert not verify_clique(graph, (graph.identity_index,))
+
+
 def test_verify_clique():
     graph = build_graph(2, 2)
     # empty and singleton witnesses are vacuously cliques
@@ -292,6 +300,32 @@ def recursive_max_clique(graph, seed=(), upper=None, budget=None):
     return state["best_size"], steps, witness, optimal
 
 
+def twin_quotient(graph: NonComGraph, seed=()) -> NonComGraph:
+    """The twin quotient by plain loops, the reference for the one the
+    solver builds: one vertex per class of equal rows, in order of first
+    occurrence, adjacent when the classes' first vertices are.  Each class
+    is labelled by its seed member if it holds one, else by its first
+    vertex, so the seed maps in by ``position_of`` and a witness maps out
+    by ``vertices``."""
+    reps: list[int] = []
+    for v, row in enumerate(graph.adjacency):
+        if all(graph.adjacency[r] != row for r in reps):
+            reps.append(v)
+    labels = [graph.vertices[r] for r in reps]
+    for e in seed:
+        row = graph.adjacency[graph.position_of(e)]
+        labels[[graph.adjacency[r] for r in reps].index(row)] = e
+    rows = []
+    for r in reps:
+        row = 0
+        for c, s in enumerate(reps):
+            if (graph.adjacency[r] >> s) & 1:
+                row |= 1 << c
+        rows.append(row)
+    return NonComGraph(n=graph.n, q=graph.q, vertices=tuple(labels), adjacency=tuple(rows),
+                       identity_index=graph.identity_index)
+
+
 def random_graph(size: int, density: float, seed: int) -> NonComGraph:
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((size, size)) < density, 1)
@@ -300,8 +334,21 @@ def random_graph(size: int, density: float, seed: int) -> NonComGraph:
                        adjacency=_bits_from_bools(adj), identity_index=0)
 
 
+def twinned_graph(size: int, density: float, copies: int, seed: int) -> NonComGraph:
+    """A random graph on ``size`` vertices with ``copies`` planted twins,
+    shuffled: each new vertex copies the row of a random original, so it is
+    adjacent to the original's neighbours and not to the original."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((size, size)) < density, 1)
+    adj = upper | upper.T
+    source = rng.permutation(np.concatenate([np.arange(size), rng.integers(0, size, copies)]))
+    return NonComGraph(n=0, q=0, vertices=tuple(range(size + copies)),
+                       adjacency=_bits_from_bools(adj[np.ix_(source, source)]), identity_index=0)
+
+
 # The group graphs are the solver's real inputs, but each is solved in one
-# dive; the random graphs make the search backtrack through 790 to 2130 nodes.
+# dive; the random graphs have no twins and make the search backtrack
+# through 790 to 2130 nodes; the planted twins exercise the class maps.
 REFERENCE_GRAPHS = {
     "GL_2(3)": lambda: build_graph(2, 3),
     "GL_3(2)": lambda: build_graph(3, 2),
@@ -309,13 +356,14 @@ REFERENCE_GRAPHS = {
     "G(120,0.5)": lambda: random_graph(120, 0.5, 1),
     "G(90,0.7)": lambda: random_graph(90, 0.7, 2),
     "G(200,0.3)": lambda: random_graph(200, 0.3, 3),
+    "G(60,0.6)+90 twins": lambda: twinned_graph(60, 0.6, 90, 4),
 }
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
 def test_stack_search_matches_recursive_reference(name):
     graph = REFERENCE_GRAPHS[name]()
-    size, steps, clique, _ = recursive_max_clique(graph)
+    size, steps, clique, _ = recursive_max_clique(twin_quotient(graph))
     seed = seed_clique(graph.n, graph.q) if graph.n else clique
     # the seed is a maximum clique, so its size serves as an upper bound
     # that stops a search early
@@ -324,5 +372,48 @@ def test_stack_search_matches_recursive_reference(name):
             ((), None, SolverBudget(steps=steps // 2)), ((), size, None), (seed[:-1], size, None)]
     for start, upper, budget in runs:
         res = max_clique(graph, start, upper, budget)
-        expect = recursive_max_clique(graph, start, upper, budget)
+        expect = recursive_max_clique(twin_quotient(graph, start), start, upper, budget)
         assert (res.size, res.steps, res.witness, res.optimal) == expect, (start, upper, budget)
+        assert verify_clique(graph, res.witness)
+
+
+@pytest.mark.parametrize("name", ["G(120,0.5)", "G(90,0.7)", "G(200,0.3)"])
+def test_random_graphs_have_no_twins(name):
+    graph = REFERENCE_GRAPHS[name]()
+    assert twin_quotient(graph) == graph
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_planted_twins_keep_the_clique_number(seed):
+    graph = twinned_graph(40, 0.5, 60, seed)
+    assert twin_quotient(graph).vertex_count == 40
+    size, _, _, optimal = recursive_max_clique(graph)
+    res = max_clique(graph)
+    assert optimal and res.optimal and res.size == size
+    assert verify_clique(graph, res.witness)
+
+
+def test_planted_twin_seed_members_come_back():
+    # the seed takes the last member of each class it meets, never the first
+    graph = twinned_graph(60, 0.6, 90, 4)
+    clique = recursive_max_clique(twin_quotient(graph))[2]
+    seed = tuple(max(v for v in graph.vertices if graph.adjacency[v] == graph.adjacency[e])
+                 for e in clique)
+    assert seed != clique
+    res = max_clique(graph, seed)
+    assert res.optimal and res.witness == tuple(sorted(seed))
+
+
+def test_maximum_seed_comes_back_as_the_witness():
+    graph = build_graph(2, 7)
+    seed = seed_clique(2, 7)
+    res = max_clique(graph, seed)
+    assert res.optimal and res.size == 57
+    assert res.witness == tuple(sorted(seed))
+
+
+def test_omega_gl25_without_an_upper_bound():
+    graph = build_graph(2, 5)
+    res = max_clique(graph)
+    assert (res.size, res.optimal, res.upper_bound_used) == (31, True, None)
+    assert verify_clique(graph, res.witness)

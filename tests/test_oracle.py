@@ -810,5 +810,20 @@ def test_census_matches_full_scan_reference(n, q):
     assert count_cyclic_centralizers(n, q) == (len(reps), reps)
 
 
+def test_census_runs_once_per_group(monkeypatch):
+    """A second census call, and the seed that follows a count, return the
+    kept tuple: the keys are sorted once per group."""
+    group = oracle.GLGroup(2, 3)
+    monkeypatch.setattr(oracle, "_gl_group_cached", lambda n, q: group)
+    group.cyclic_flags()
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    count, reps = count_cyclic_centralizers(2, 3)
+    assert group.cyclic_centralizer_census() is reps
+    assert seed_clique(2, 3) == reps and count == 13
+    assert len(calls) == 1
+
+
 def test_gl42_census_count():
     assert count_cyclic_centralizers(4, 2)[0] == 3886
