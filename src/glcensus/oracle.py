@@ -18,14 +18,21 @@ vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a chunk of X
 against all of S is one (B d^2, d^2) @ (d^2, |S|) product of residues, whose
 partial sums are at most d^2 (p-1)^2, and X_i commutes with S_j exactly when
 column j of the block of X_i is 0 mod p.  ``normalizer_of_set`` forms only
-column 0 of each e x e block of gC and Cg, the digits a code reads: one
-product per side, with partial sums at most d (p-1)^2.
+column 0 of each e x e block of gC, Cg and g c0, the digits a code reads:
+one product each, with partial sums at most d (p-1)^2.
 
 One kernel, ``_rref``, does every elimination, over a whole stack at once:
 GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
 when the lifts of t^j M^k (j < e, k < n), which span F_q[M] over F_p, have
 rank ne; and since C(M) = F_q[M]^x for cyclic M, the census keys each cyclic
-M on the reduced echelon form of that span.  ``min_poly`` is the one
+M on the reduced echelon form of that span.  A matrix leaves the kernel's
+working stack as soon as its rank reaches its row count, which it is exact
+to do since no later column then has a pivot row left to change it; a
+cyclic span mostly does so within its first ne columns of n^2 e.  The
+working stack is the narrowest signed integer dtype holding (p - 1)^2 + p.
+``normalizer_of_set`` first drops every g with g c0 outside Cg for one
+non-central member c0 of C, a necessary condition for gC = Cg, and compares
+the sorted codes of gC and Cg only for the rest.  ``min_poly`` is the one
 hand-written elimination left, for the block checks.  The ``*_task``
 functions at the end are the checks both the CLI and the verify suite run.
 
@@ -347,19 +354,33 @@ def _exact_dtypes(bound: int):
 
 def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack (B, r, c) of integer
-    matrices, and their ranks: one pass over the columns, vectorised over B."""
-    m = np.array(stack, dtype=np.int64) % p
-    count, r, c = m.shape
-    inv = np.array(get_field(p).inv_table, dtype=np.int64)
-    batch, rows = np.arange(count), np.arange(r)
+    matrices, and their ranks: one pass over the columns, vectorised over B.
+
+    A matrix leaves the working stack once its rank reaches r, its form
+    written back then: no later column has a pivot candidate at or below
+    row r, so nothing would change it.  The input is reduced mod p in int64;
+    the working stack is then the narrowest signed dtype holding
+    (p - 1)^2 + p, which bounds every intermediate of a step."""
+    out = np.asarray(stack, dtype=np.int64) % p
+    count, r, c = out.shape
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= (p - 1) ** 2 + p)
+    m = out.astype(dtype)
+    inv = np.array(get_field(p).inv_table, dtype=dtype)
+    rows = np.arange(r)
+    live = np.arange(count)
     rank = np.zeros(count, dtype=np.int64)
+    live_rank = np.zeros(count, dtype=np.int64)
     for col in range(c):
+        if not len(live):
+            break
         # the pivot is the first row at or below the rank with a nonzero entry;
         # a matrix without one keeps top = pivot and eliminates nothing.  The
         # pivot row is zero left of col, so elimination changes only col:.
-        found = (m[:, :, col] != 0) & (rows >= rank[:, None])
+        batch = np.arange(len(live))
+        found = (m[:, :, col] != 0) & (rows >= live_rank[:, None])
         has = found.any(axis=1)
-        top = np.minimum(rank, r - 1)
+        top = np.minimum(live_rank, r - 1)
         pivot = np.where(has, found.argmax(axis=1), top)
         row = m[batch, pivot]
         m[batch, pivot] = m[batch, top]
@@ -368,8 +389,20 @@ def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
         rest -= np.where(has[:, None], m[:, :, col], 0)[:, :, None] * row[:, None, col:]
         rest %= p
         m[batch, top] = np.where(has[:, None], row, m[batch, top])
-        rank += has
-    return m, rank
+        live_rank += has
+        full = live_rank == r
+        if full.any():
+            out[live[full]] = m[full]
+            rank[live[full]] = r
+            # compact into the front of the same buffer, so no new stack is
+            # allocated on every exit
+            keep = ~full
+            left = int(keep.sum())
+            m[:left] = m[keep]
+            m, live, live_rank = m[:left], live[keep], live_rank[keep]
+    out[live] = m
+    rank[live] = live_rank
+    return out, rank
 
 
 def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -578,28 +611,39 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
     sorted codes of both products, so no inverse is ever formed.  A code
     reads only the block columns (column 0 of each e x e block), so only
     those n columns of each gc and cg are formed: per chunk of g, one
-    product of the stacked g against the block columns of all of C, and one
-    of the stacked members of C against the block columns of all the g.
+    product of the stacked members of C against the block columns of all
+    the g, and one of the g against the block columns of C.
+
+    A prefilter keeps only the g with code(g c0) among the codes of Cg, for
+    one non-central member c0 of C (any member if all are central): it is
+    exact, since gC = Cg puts g c0 in Cg.  The product gC and the sorts are
+    then formed for the survivors only.
     """
     check_scan_budget(cset.n, cset.q, "normalizer scan", cset.order, budget)
     group = gl_group(cset.n, cset.q, budget)
     n, e, p = group.n, group.field.e, group.field.p
     d = n * e
     real, whole = _exact_dtypes(d * (p - 1) ** 2)
+    center = set(group.center_indices())
+    c0 = next((i for i in cset.members if i not in center), cset.members[0])
     C = group.lifted[list(cset.members)]
     c = len(C)
     C_rows = C.reshape(c * d, d).astype(real)
     C_cols = C[..., ::e].transpose(1, 0, 2).reshape(d, c * n).astype(real)
+    c0_cols = group.lifted[c0, :, ::e].astype(real)
     count = 0
     for s in _slices(group.order, 2 * c * d * n):
-        G = group.lifted[s]
+        G = group.lifted[s].astype(real)
         b = len(G)
-        # gc: rows (g, r), columns (c, j); cg: rows (c, r), columns (g, j)
-        gc = (G.reshape(b * d, d).astype(real) @ C_cols).astype(whole)
-        cg = (C_rows @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n).astype(real)).astype(whole)
+        # cg: rows (c, r), columns (g, j); gc: rows (g, r), columns (c, j)
+        cg = (C_rows @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n)).astype(whole)
+        cg = group.codes((cg - cg // p * p).reshape(c, d, b, n).transpose(2, 0, 1, 3))
+        gc0 = (G @ c0_cols).astype(whole)
+        keep = (cg == group.codes(gc0 - gc0 // p * p)[:, None]).any(axis=1)
+        G, b = G[keep], int(keep.sum())
+        gc = (G.reshape(b * d, d) @ C_cols).astype(whole)
         gc = (gc - gc // p * p).reshape(b, d, c, n).transpose(0, 2, 1, 3)
-        cg = (cg - cg // p * p).reshape(c, d, b, n).transpose(2, 0, 1, 3)
-        same = np.sort(group.codes(gc), axis=1) == np.sort(group.codes(cg), axis=1)
+        same = np.sort(group.codes(gc), axis=1) == np.sort(cg[keep], axis=1)
         count += int(same.all(axis=1).sum())
     return count
 

@@ -685,6 +685,17 @@ def test_normalizer_matches_conjugation_on_gl32_and_gl28(n, q, positions):
         assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset)
 
 
+@pytest.mark.parametrize("n,q,expected", [(1, 5, 4), (2, 3, 48)])
+def test_normalizer_prefilter_keeps_the_whole_group(n, q, expected):
+    # C = C(I) = G: in GL_1(5) every member is central, so the prefilter has
+    # no non-central member to test and must keep every g; in GL_2(3) it has
+    # one, and every g still lies in the normalizer
+    group = gl_group(n, q)
+    cset = centralizer(FqMatrix.identity(group.field, n))
+    assert cset.order == group.order
+    assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset) == expected
+
+
 # --- the exact float kernels against integer references -----------------------
 
 
@@ -735,7 +746,8 @@ def test_commuting_table_matches_per_element_on_gl32_and_gl28(n, q, step):
 
 
 def _stacks(p: int):
-    """Zero, rank-deficient, tall and wide stacks of integer matrices."""
+    """Zero, rank-deficient, tall, wide and sparse stacks of integer
+    matrices, and last a stack of full rank before its last column."""
     rng = np.random.default_rng(p)
     low = rng.integers(0, p, (30, 5, 2)) @ rng.integers(0, p, (30, 2, 6))
     yield np.zeros((4, 3, 5), dtype=np.int64)
@@ -743,17 +755,28 @@ def _stacks(p: int):
     yield rng.integers(0, p, (40, 7, 3))  # tall
     yield rng.integers(0, p, (40, 3, 8))  # wide
     yield rng.integers(0, 2, (40, 4, 4)) * rng.integers(0, p, (40, 4, 4))  # sparse square
+    # full rank before the last column: k zero columns, an invertible L U
+    # block (unit-diagonal U, L with a nonzero diagonal), then random columns
+    diagonal = np.eye(4, dtype=np.int64) * rng.integers(1, p, (40, 1, 4))
+    lower = np.tril(rng.integers(0, 3 * p, (40, 4, 4)), -1) + diagonal
+    upper = np.triu(rng.integers(0, 3 * p, (40, 4, 4)), 1) + np.eye(4, dtype=np.int64)
+    early = np.zeros((40, 4, 11), dtype=np.int64)
+    for i, k in enumerate(rng.integers(0, 4, 40)):
+        early[i, :, k:k + 4] = lower[i] @ upper[i]
+        early[i, :, k + 4:] = rng.integers(0, p, (4, 7 - k))
+    yield early
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 181, 191])  # both sides of each dtype bound
 def test_rref_matches_plain_python(p):
     for stack in _stacks(p):
         before = stack.copy()
         rref, rank = _rref(stack, p)
         assert (stack == before).all()  # the input is not modified
-        assert rref.shape == stack.shape
+        assert rref.shape == stack.shape and rref.dtype == np.int64
         for matrix, form, r in zip(stack.tolist(), rref.tolist(), rank.tolist()):
             assert (form, r) == reference_rref(matrix, p)
+    assert (rank == stack.shape[1]).all()  # the last stack leaves the elimination early
 
 
 @pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (3, 2)])
