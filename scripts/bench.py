@@ -19,6 +19,10 @@ git sha and ``nproc``.  With two sides it also counts, per workload and
 metric, the seeds on which the second side read better than the first (ties
 count for neither), using the direction ``BENCHMARK.json`` gives for the
 metric.
+
+The file is written in any case.  The exit status is 1 when any run reported
+``correct: false``, and each such run is named on stderr by side, workload,
+seed and trace; it is 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ def better_counts(first: list[float], second: list[float], better: str) -> dict:
             "second_worse": sum(d < 0 for d in diffs)}
 
 
+def incorrect_runs(log: list[dict]) -> list[str]:
+    """The runs of the log that reported ``correct: false``, one line each."""
+    return [f"{r['side']} {r['workload']} seed={r['seed']} trace={r['trace']}"
+            for r in log if not r["correct"]]
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -102,6 +112,7 @@ def main() -> int:
 
     names = list(sides)
     runs: dict[tuple[str, str, int], list[dict]] = {}
+    log: list[dict] = []
     for i, seed in enumerate(args.seeds):
         order = names if i % 2 == 0 else names[::-1]
         traces = (0, 1) if i < TRACED_SEEDS else (0,)
@@ -110,6 +121,8 @@ def main() -> int:
                 for name in order:
                     result = run_perfbench(sides[name], workload, seed, spec["run_seconds"], trace)
                     runs.setdefault((name, workload, trace), []).append(result)
+                    log.append({"side": name, "workload": workload, "seed": seed,
+                                "trace": trace, "correct": result["correct"]})
                     print(f"{name} {workload} seed={seed} trace={trace} correct={result['correct']}",
                           file=sys.stderr)
 
@@ -142,7 +155,10 @@ def main() -> int:
             for (name, workload, metric) in values if name == first and metric in directions
         ]
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    bad = incorrect_runs(log)
+    for line in bad:
+        print(f"incorrect run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -38,9 +38,11 @@ small operand.
 Nonemptiness: lo <= hi is certified on the small factor r, not by
 cross-multiplying the two big endpoints.  For lo >= 0 and 0 < r <= 1,
 lo / r >= lo, so RatInterval.from_ratio(lo, r) checks only the sign of lo
-and the range of r.  RatInterval.shift skips the comparison too, since a
-translate of a nonempty interval is nonempty.  The plain RatInterval(lo, hi)
-constructor keeps the full lo <= hi comparison for every other caller.
+and the range of r.  The plain RatInterval(lo, hi) constructor keeps the
+full lo <= hi comparison for every other caller.
+
+scaled_coefficients gives the sequence itself, q^n b_n for n = 0..upto: the
+one producer of those values for the monotonicity and convergence checks.
 """
 
 from __future__ import annotations
@@ -83,19 +85,10 @@ class RatInterval:
         """
         if lo < 0 or not 0 < r <= 1:
             raise ValueError("empty interval")
-        return cls._certified(lo, lo / r)
-
-    @classmethod
-    def _certified(cls, lo: Fraction, hi: Fraction) -> RatInterval:
-        """[lo, hi] for endpoints the caller has proven ordered; no comparison."""
         out = object.__new__(cls)
         object.__setattr__(out, "lo", lo)
-        object.__setattr__(out, "hi", hi)
+        object.__setattr__(out, "hi", lo / r)
         return out
-
-    def shift(self, x: Fraction) -> RatInterval:
-        """The translate [lo - x, hi - x]; nonempty because self is."""
-        return self._certified(self.lo - x, self.hi - x)
 
 
 def _exponent(k: int) -> int:
@@ -249,21 +242,12 @@ def check_estimates(q: Fraction | int, terms: int = DEFAULT_TERMS) -> EstimateRe
     return EstimateReport(q=q, terms=terms, interval=enclosure, verdicts=verdicts)
 
 
-def convergence_report(q: int, upto: int, terms: int = DEFAULT_TERMS) -> list[tuple[int, RatInterval]]:
-    """Certified gaps l(q) - q^n b_n for n = 1..upto.
-
-    Since q^n b_n increases strictly to l(q), each gap interval is positive
-    on the lower side once the enclosure is tight enough, and the sequence
-    of gap upper bounds is strictly decreasing.
-    """
-    if upto < 1:
-        raise ValueError("need at least one coefficient")
-    enclosure = l_of_q(q, terms)
-    out = []
-    for n in range(1, upto + 1):
-        value = b_coefficient(n).eval(q) * Fraction(q) ** n
-        out.append((n, enclosure.shift(value)))
-    return out
+def scaled_coefficients(q: int, upto: int) -> list[Fraction]:
+    """q^n b_n(q) for n = 0..upto: exact rationals that increase strictly to
+    l(q)."""
+    if upto < 0:
+        raise ValueError("need a nonnegative last index")
+    return [b_coefficient(n).eval(q) * Fraction(q) ** n for n in range(upto + 1)]
 
 
 def fraction_to_decimal(x: Fraction, digits: int = 12, round_up: bool = False) -> str:

@@ -35,8 +35,9 @@ sum of the terms must divide by j; any failure is a ConsistencyError.
 
 The same recurrence over the blocks of a set of multiplicities m gives
 c_j = |GL_j| [t^j] exp(sum t^(dm) / N(d, m)) over those blocks, so the one
-kernel serves a_polynomial (every m) and the qseries exp forms of f1 (m = 1),
-f2 (m >= 2) and fbar (every m).  Every c_j is in Z[q]: f1 gives q^(j(j-1)),
+kernel serves a_polynomial (every m), whose b_n are the coefficients of
+qseries.build_fbar, and the qseries exp forms of f1 (m = 1) and f2
+(m >= 2).  Every c_j is in Z[q]: f1 gives q^(j(j-1)),
 and a_j = sum_i c1_i c2_{j-i} |GL_j| / (|GL_i| |GL_{j-i}|) makes c2_j
 integral by induction on j.  a_polynomial also requires each a_j to be
 monic of degree j^2 - j, and builds a_0, a_1, ... once per process.
@@ -98,11 +99,6 @@ class MuFunction:
             if (d, m) <= prev:
                 raise ValueError("support keys must be strictly ascending in (d, m)")
             prev = (d, m)
-
-    def __str__(self) -> str:
-        if not self.items:
-            return "{}"
-        return "{" + ", ".join(f"({d},{m}):{k}" for (d, m), k in self.items) + "}"
 
 
 @lru_cache(maxsize=None)

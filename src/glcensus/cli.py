@@ -4,13 +4,15 @@ Every subcommand prints JSON, except that census and verify print a
 human-readable table unless --json is given.  Execution is sequential, so
 every output is deterministic; limit lq prints its exact endpoints as
 hexadecimal num/den.
---budget N caps group enumeration at N elements and scan work at 5000*N
-steps (the defaults are 200000 and 10^9).
+Each request runs under one oracle.Budget.  --budget N caps group
+enumeration at N elements and scan work at 5000*N steps (the defaults are
+200000 and 10^9); clique omega --timeout S caps its search at S seconds.
 
 Exit codes: 0 on success; 1 when a check or search the command ran fails;
 2 when the request is refused or invalid (bad input or usage, a path that
 cannot be opened, a budget, a regime with no closed formula), which prints
-one line of JSON {"error": ...} on stdout.
+one line of JSON {"error": ...} on stdout.  A budget refused by any verify
+check refuses the whole verify request, with exit 2.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ def _emit(data) -> None:
     print(json.dumps(data, indent=2))
 
 
-def _budget_from_args(args) -> oracle.Budget | None:
-    if args.budget is None:
-        return None
-    return oracle.Budget(elements=args.budget, steps=args.budget * 5000)
+def _budget_from_args(args, **limits) -> oracle.Budget:
+    if args.budget is not None:
+        limits.update(elements=args.budget, steps=args.budget * 5000)
+    return oracle.Budget(**limits)
 
 
 # --- census ------------------------------------------------------------------
@@ -211,8 +213,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_clique(args) -> int:
-    budget = _budget_from_args(args)
-    solver_budget = clique.SolverBudget(seconds=args.timeout)
+    budget = _budget_from_args(args, seconds=args.timeout)
     # the witness file is opened before the search, so a bad path costs
     # nothing, and emptied only after it; a refused search leaves an existing
     # file as it was and removes one this request created
@@ -220,7 +221,7 @@ def cmd_clique(args) -> int:
     created = bool(path) and not os.path.lexists(path)
     with open(path, "a") if path else contextlib.nullcontext() as handle:
         try:
-            result, seed_size = clique.compute_omega(args.n, args.q, budget, solver_budget)
+            result, seed_size = clique.compute_omega(args.n, args.q, budget)
         except BaseException:
             if created:
                 os.remove(path)

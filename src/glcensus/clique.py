@@ -16,7 +16,8 @@ non-commuting when the table is false off the diagonal.
 The solver is a branch-and-bound over bitset adjacency rows with greedy
 colouring bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et
 al. 2011), run as one loop over an explicit stack, so no graph is too deep
-for it; the time budget is checked at every node.  It searches the twin
+for it; the time and node limits of the request's one ``oracle.Budget`` are
+checked at every node.  It searches the twin
 quotient: vertices with equal adjacency rows form one class, and the classes
 are the quotient's vertices.  x and xz have equal rows for every scalar z,
 and so do any two elements with the same centralizer, so GL_2(7)'s 2010
@@ -44,6 +45,7 @@ certificate.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +54,7 @@ import numpy as np
 
 from glcensus.census import UnsupportedRegimeError, a_polynomial, omega_closed
 from glcensus.oracle import (
+    DEFAULT_BUDGET,
     Budget,
     GLGroup,
     check_scan_budget,
@@ -59,19 +62,6 @@ from glcensus.oracle import (
     count_cyclic_centralizers,
     gl_group,
 )
-
-
-@dataclass(frozen=True)
-class SolverBudget:
-    seconds: float = 60.0
-    steps: int = 1_000_000_000
-
-    def __post_init__(self) -> None:
-        # `not seconds >= 0` also rejects NaN, a budget no elapsed time exceeds
-        if not self.seconds >= 0:
-            raise ValueError(f"time budget must be nonnegative seconds, got {self.seconds}")
-        if self.steps < 0:
-            raise ValueError(f"step budget must be nonnegative, got {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +238,7 @@ def _twin_quotient(adjacency) -> tuple[list[int], list[int], tuple[int, ...]]:
 
 
 def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
-               budget: SolverBudget | None = None) -> CliqueResult:
+               budget: Budget | None = None) -> CliqueResult:
     """Exact maximum clique by branch and bound with colouring bounds.
 
     ``seed`` must be a clique (raises ValueError otherwise) and is used as
@@ -269,9 +259,10 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
     is an open node [colour order, colour bounds, next position, candidate
     set]; its branches are taken from the highest colour down, and the node
     closes when the next bound cannot beat the incumbent.  Opening a node is
-    one step, and both budgets are checked there, at every node.
+    one step, and the budget's seconds and nodes are checked there, at every
+    node.
     """
-    budget = budget if budget is not None else SolverBudget()
+    budget = budget if budget is not None else DEFAULT_BUDGET
     start = time.monotonic()
     if seed and not verify_clique(graph, seed):
         raise ValueError("seed is not a clique of this graph")
@@ -301,7 +292,7 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
     while True:
         if nxt:
             steps += 1
-            if steps > budget.steps or time.monotonic() - start > budget.seconds:
+            if steps > budget.nodes or time.monotonic() - start > budget.seconds:
                 optimal = False
                 break
             order, bounds = _colour_order(nxt, adjacency)
@@ -336,12 +327,13 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
                         seconds=time.monotonic() - start)
 
 
-def compute_omega(n: int, q: int, budget: Budget | None = None,
-                  solver_budget: SolverBudget | None = None) -> tuple[CliqueResult, int]:
+def compute_omega(n: int, q: int, budget: Budget | None = None) -> tuple[CliqueResult, int]:
     """Seed, bound, and (only when needed) search; returns (result, seed size).
 
     When the seed size equals the covering bound the graph is never built:
-    the two counts certify each other.
+    the two counts certify each other.  On both paths ``seconds`` runs from
+    the start of this call.  The one budget caps the enumeration and scans
+    and the search; its seconds limit only the search.
     """
     start = time.monotonic()
     seed = seed_clique(n, q, budget)
@@ -357,5 +349,5 @@ def compute_omega(n: int, q: int, budget: Budget | None = None,
             len(seed),
         )
     graph = build_graph(n, q, budget)
-    result = max_clique(graph, seed, upper, solver_budget)
-    return result, len(seed)
+    result = max_clique(graph, seed, upper, budget)
+    return dataclasses.replace(result, seconds=time.monotonic() - start), len(seed)

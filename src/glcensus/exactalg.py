@@ -338,11 +338,6 @@ class RationalFunction:
         den = self.den.exact_div(g2) * other.den.exact_div(g1)
         return make_rf(num, den)
 
-    def __truediv__(self, other: RationalFunction) -> RationalFunction:
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return self * RationalFunction(other.den, other.num)
-
     def eval(self, q0: Fraction | int) -> Fraction:
         d = self.den.eval(q0)
         if d == 0:

@@ -72,16 +72,25 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps for oracle tasks: group elements enumerated, and scan steps."""
+    """The limits of one request: group elements enumerated and scan steps
+    for the oracle tasks, and wall seconds and branch-and-bound nodes for the
+    clique search."""
 
     elements: int = 200_000
     steps: int = 1_000_000_000
+    seconds: float = 60.0
+    nodes: int = 1_000_000_000
 
     def __post_init__(self) -> None:
         if self.elements < 0:
             raise ValueError(f"element budget must be nonnegative, got {self.elements}")
         if self.steps < 0:
             raise ValueError(f"step budget must be nonnegative, got {self.steps}")
+        # `not seconds >= 0` also rejects NaN, a budget no elapsed time exceeds
+        if not self.seconds >= 0:
+            raise ValueError(f"time budget must be nonnegative seconds, got {self.seconds}")
+        if self.nodes < 0:
+            raise ValueError(f"node budget must be nonnegative, got {self.nodes}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -101,7 +110,9 @@ class Fq:
     (f = t when e = 1).  ``blocks[a]`` = a(C) mod p, C the companion matrix of
     f, is the matrix of multiplication by a on 1, t, ..., t^(e-1): column j
     holds the digits of a t^j.  It is the one definition of the product; the
-    dense add/mul/neg/inv tables are read off it and the digits.
+    dense add/mul/neg/inv tables are read off it and the digits, each on
+    first read: the group work reads only ``blocks``, and a q x q table of
+    Python ints costs about 100 MiB at q = 1009.
     """
 
     def __init__(self, q: int):
@@ -123,11 +134,25 @@ class Fq:
             powers.append(powers[-1] @ companion % p)
         self.blocks = np.einsum("ai,ijk->ajk", digits, np.array(powers)) % p
         self.blocks.flags.writeable = False
-        mul = np.einsum("ajk,bk->abj", self.blocks, digits) % p @ place
-        self.add_table = tuple(map(tuple, ((digits[:, None] + digits) % p @ place).tolist()))
-        self.mul_table = tuple(map(tuple, mul.tolist()))
-        self.neg_table = tuple((-digits % p @ place).tolist())
-        self.inv_table = tuple(np.argmax(mul == 1, axis=1).tolist())
+        self._digits, self._place = digits, place
+
+    @cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        digits = self._digits
+        return tuple(map(tuple, ((digits[:, None] + digits) % self.p @ self._place).tolist()))
+
+    @cached_property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        mul = np.einsum("ajk,bk->abj", self.blocks, self._digits) % self.p @ self._place
+        return tuple(map(tuple, mul.tolist()))
+
+    @cached_property
+    def neg_table(self) -> tuple[int, ...]:
+        return tuple((-self._digits % self.p @ self._place).tolist())
+
+    @cached_property
+    def inv_table(self) -> tuple[int, ...]:
+        return tuple(np.argmax(np.array(self.mul_table) == 1, axis=1).tolist())
 
     # element operations
     def add(self, a: int, b: int) -> int:
@@ -366,7 +391,7 @@ def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).max >= (p - 1) ** 2 + p)
     m = out.astype(dtype)
-    inv = np.array(get_field(p).inv_table, dtype=dtype)
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=dtype)
     rows = np.arange(r)
     live = np.arange(count)
     rank = np.zeros(count, dtype=np.int64)

@@ -5,12 +5,13 @@ rational functions of q, the ring in which the census generating function
 and its factors have closed per-coefficient forms.
 
 The census generating function is fbar = exp(sum_{d,m} t^(dm) / N(d, m)),
-with N(d, m) the normaliser order of one block.  It factors as
-fbar = f1 * f2, where f1 collects the multiplicity-one blocks (maximal tori)
-and f2 the blocks of multiplicity at least two.  The exp form of each is
-c_j / |GL_j| at t^j, with c_j in Z[q] from census.exp_coefficients, the
-checked recurrence that also builds the census polynomials a_n, run over
-the blocks of the factor's multiplicities.  f1 and f2 also have other,
+with N(d, m) the normaliser order of one block; its t^n coefficient is
+census.b_coefficient(n).  It factors as fbar = f1 * f2, where f1 collects
+the multiplicity-one blocks (maximal tori) and f2 the blocks of
+multiplicity at least two.  The exp form of each is c_j / |GL_j| at t^j,
+with c_j in Z[q] from census.exp_coefficients, the checked recurrence that
+also builds the census polynomials a_n, run over the blocks of the
+factor's multiplicities.  f1 and f2 also have other,
 provably equal forms (closed sum, infinite product), and the builders below
 expose all of them so the equalities can be tested coefficient by
 coefficient.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from glcensus.census import euler_table, exp_coefficients, gl_order
+from glcensus.census import b_coefficient, euler_table, exp_coefficients, gl_order
 from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
@@ -235,8 +236,8 @@ def build_f2(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
 
 
 def build_fbar(order: int) -> PowerSeries:
-    """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)), from
-    the census recurrence over all blocks: the t^n coefficient is
-    b_n = a_n / |GL_n|."""
+    """Full census generating function, exp(sum_{d,m} t^(dm) / N(d, m)), as
+    the series of census.b_coefficient: the t^n coefficient is
+    b_n = a_n / |GL_n|, a_n from the census recurrence over all blocks."""
     _check_orders(order)
-    return _exp_form(order, range(1, order + 1), "a")
+    return PowerSeries(order, tuple(b_coefficient(j) for j in range(order + 1)), RATFUNC)

@@ -12,12 +12,11 @@ from glcensus.asympt import (
     _power_fraction,
     _power_product,
     check_estimates,
-    convergence_report,
     exp_interval,
     fraction_to_decimal,
     l_of_q,
+    scaled_coefficients,
 )
-from glcensus import asympt, verify
 from glcensus.census import ConsistencyError, b_coefficient
 
 
@@ -160,25 +159,18 @@ def test_exp_interval_encloses():
     assert iv.hi - iv.lo < Fraction(1, 10**6)
 
 
-def test_convergence_gaps():
-    for q in (2, 3):
-        rep = convergence_report(q, 12)
-        assert [n for n, _ in rep] == list(range(1, 13))
-        hi_l = l_of_q(q, 30).hi
-        for n, gap in rep:
-            value = b_coefficient(n).eval(q) * Fraction(q) ** n
-            assert value < hi_l, (q, n)
-            assert gap.lo > 0, (q, n)
-        uppers = [gap.hi for _, gap in rep]
-        assert all(a > b for a, b in zip(uppers, uppers[1:]))
-
-
 def test_first_gap_value_q3():
     # 3 * b_1 = 3/2, so the first gap is l(3) - 3/2
-    (n, gap), *_ = convergence_report(3, 1)
-    assert n == 1
+    values = scaled_coefficients(3, 1)
+    assert values == [1, Fraction(3, 2)]
     assert b_coefficient(1).eval(3) * 3 == Fraction(3, 2)
-    assert gap.lo > Fraction(9, 2)  # l(3) > 6 so the gap exceeds 4.5
+    assert l_of_q(3, 30).lo - values[1] > Fraction(9, 2)  # l(3) > 6 so the gap exceeds 4.5
+
+
+def test_scaled_coefficients_start_at_one_and_refuse_a_negative_index():
+    assert scaled_coefficients(2, 0) == [1]
+    with pytest.raises(ValueError):
+        scaled_coefficients(2, -1)
 
 
 def test_interval_invariant():
@@ -211,16 +203,6 @@ def test_from_ratio_equals_the_checked_constructor():
         assert got == want and hash(got) == hash(want)
 
 
-def test_shift_subtracts_from_both_endpoints():
-    rng = random.Random(14)
-    for _ in range(200):
-        a, b = sorted(Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**9))
-                      for _ in range(2))
-        x = Fraction(rng.randrange(-10**20, 10**20), rng.randrange(1, 10**9))
-        iv = RatInterval(a, b).shift(x)
-        assert iv == RatInterval(a - x, b - x)
-
-
 def test_power_product_equals_the_product_of_powers():
     rng = random.Random(15)
     for _ in range(200):
@@ -232,31 +214,6 @@ def test_power_product_equals_the_product_of_powers():
     assert _power_product([7], [0]) == 1
     assert _power_product([5, 3], [0, 0]) == 1
     assert _power_product([], []) == 1
-
-
-def _broken_gaps(q, upto, terms=30, delta=Fraction(0), swap=False):
-    """convergence_report with the last gap's upper end moved by delta, or two values swapped."""
-    enclosure = l_of_q(q, terms)
-    values = [b_coefficient(n).eval(q) * Fraction(q) ** n for n in range(1, upto + 1)]
-    if swap:
-        values[-2], values[-1] = values[-1], values[-2]
-    gaps = [(n, enclosure.shift(v)) for n, v in enumerate(values, 1)]
-    last = gaps[-1][1]
-    gaps[-1] = (upto, RatInterval(last.lo, last.hi + delta))
-    return gaps
-
-
-# Moving the last upper end up by 10^-9 keeps the upper bounds decreasing, so
-# only the gap.hi == hi - value check catches it.
-@pytest.mark.parametrize("breakage", [{"delta": Fraction(1, 10**9)}, {"swap": True}], ids=str)
-def test_check_convergence_fails_on_gaps_it_cannot_certify(monkeypatch, breakage):
-    assert verify.check_convergence() == (
-        verify.PASS, "q^n b_n stays below hi(l(q)) and gaps shrink, q in {2,3}")
-    monkeypatch.setattr(asympt, "convergence_report",
-                        lambda q, upto, terms=30: _broken_gaps(q, upto, terms, **breakage))
-    assert verify.check_convergence() == (
-        verify.FAIL, "q=2: gap upper bounds not strictly decreasing; "
-        "q=3: gap upper bounds not strictly decreasing")
 
 
 def test_decimal_display_directions():

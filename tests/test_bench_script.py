@@ -31,3 +31,15 @@ def test_perfbench_digest_sees_a_changed_file(tmp_path):
     assert bench.perfbench_digest(tmp_path / "a") == bench.perfbench_digest(tmp_path / "b")
     (tmp_path / "b" / "perfbench" / "run.py").write_text("x = 2\n")
     assert bench.perfbench_digest(tmp_path / "a") != bench.perfbench_digest(tmp_path / "b")
+
+
+def test_incorrect_runs_name_side_workload_seed_and_trace():
+    log = [
+        {"side": "parent", "workload": "census-deep", "seed": 1, "trace": 0, "correct": True},
+        {"side": "change", "workload": "census-deep", "seed": 1, "trace": 1, "correct": False},
+        {"side": "parent", "workload": "oracle-groups", "seed": 7, "trace": 0, "correct": False},
+    ]
+    assert bench.incorrect_runs(log) == [
+        "change census-deep seed=1 trace=1", "parent oracle-groups seed=7 trace=0"]
+    assert bench.incorrect_runs(log[:1]) == []
+    assert bench.incorrect_runs([]) == []

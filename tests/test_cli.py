@@ -93,6 +93,7 @@ def test_verify_fast_passes(capsys):
     ["oracle", "--n", "2", "--q", "2", "--task", "jm-check", "--budget", "-1"],
     ["oracle", "--n", "2", "--q", "2", "--task", "centralizer-count", "--budget", "-5"],
     ["oracle", "--n", "2", "--q", "64", "--task", "jm-check"],  # 266 304 candidate polynomials
+    ["verify", "--level", "full", "--budget", "1"],  # every oracle check is over budget
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

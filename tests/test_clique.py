@@ -3,12 +3,12 @@ import time
 import numpy as np
 import pytest
 
+from glcensus import clique
 from glcensus.census import UnsupportedRegimeError
 from glcensus.clique import (
     NonComGraph,
     _bits_from_bools,
     _pairwise_noncommuting,
-    SolverBudget,
     build_graph,
     compute_omega,
     covering_upper_bound,
@@ -16,7 +16,7 @@ from glcensus.clique import (
     seed_clique,
     verify_clique,
 )
-from glcensus.oracle import BudgetError, FqMatrix, _gl_group_cached, gl_group
+from glcensus.oracle import Budget, BudgetError, FqMatrix, _gl_group_cached, gl_group
 
 
 def test_graph_shapes():
@@ -148,7 +148,7 @@ def test_max_clique_rejects_bad_seed():
 
 def test_budget_exhaustion_is_not_optimal():
     graph = build_graph(3, 2)
-    res = max_clique(graph, budget=SolverBudget(seconds=60.0, steps=3))
+    res = max_clique(graph, budget=Budget(seconds=60.0, nodes=3))
     assert not res.optimal
     assert res.size >= 1
     assert verify_clique(graph, res.witness)
@@ -186,6 +186,21 @@ def test_omega_short_circuit_reports_elapsed_time():
     assert res.seconds > 0
 
 
+def test_omega_search_reports_time_from_the_start(monkeypatch):
+    # GL_2(2) has no covering count, so it takes the search path; the graph
+    # build, slowed by 0.05 s, must count in the reported time
+    original = clique.build_graph
+
+    def slow_build_graph(*args):
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(clique, "build_graph", slow_build_graph)
+    res, _ = compute_omega(2, 2)
+    assert res.steps > 0 and res.optimal
+    assert res.seconds >= 0.05
+
+
 def bits_by_loop(row) -> int:
     """The former per-bit packing, kept as the reference for _bits_from_bools."""
     out = 0
@@ -219,21 +234,21 @@ def test_deep_complete_graph_is_solved_optimally():
 
 def test_zero_time_budget_stops_at_the_first_node():
     graph = build_graph(2, 3)
-    res = max_clique(graph, budget=SolverBudget(seconds=0))
+    res = max_clique(graph, budget=Budget(seconds=0))
     assert res.steps == 1 and not res.optimal
     assert verify_clique(graph, res.witness)
 
 
-@pytest.mark.parametrize("limits", [{"seconds": -1.0}, {"seconds": float("nan")}, {"steps": -1}])
+@pytest.mark.parametrize("limits", [{"seconds": -1.0}, {"seconds": float("nan")}, {"nodes": -1}])
 def test_solver_budget_rejects_negative_and_nan_limits(limits):
     with pytest.raises(ValueError):
-        SolverBudget(**limits)
+        Budget(**limits)
 
 
 def recursive_max_clique(graph, seed=(), upper=None, budget=None):
     """The former recursive branch and bound, kept as the reference for the
     explicit-stack search: returns (size, steps, witness, optimal)."""
-    budget = budget if budget is not None else SolverBudget()
+    budget = budget if budget is not None else Budget()
     start = time.monotonic()
     seed_positions = [graph.position_of(e) for e in seed]
     if upper is not None and len(seed_positions) == upper:
@@ -268,7 +283,7 @@ def recursive_max_clique(graph, seed=(), upper=None, budget=None):
         steps += 1
         if steps % 2048 == 0 and time.monotonic() - start > budget.seconds:
             raise Exhausted
-        if steps > budget.steps:
+        if steps > budget.nodes:
             raise Exhausted
         order, bounds = colour_order(P)
         for k in range(len(order) - 1, -1, -1):
@@ -363,8 +378,8 @@ def test_stack_search_matches_recursive_reference(name):
     # the seed is a maximum clique, so its size serves as an upper bound
     # that stops a search early
     runs = [((), None, None), (seed, None, None), (clique[:2], None, None),
-            ((), None, SolverBudget(steps=3)), (seed, None, SolverBudget(steps=3)),
-            ((), None, SolverBudget(steps=steps // 2)), ((), size, None), (seed[:-1], size, None)]
+            ((), None, Budget(nodes=3)), (seed, None, Budget(nodes=3)),
+            ((), None, Budget(nodes=steps // 2)), ((), size, None), (seed[:-1], size, None)]
     for start, upper, budget in runs:
         res = max_clique(graph, start, upper, budget)
         expect = recursive_max_clique(twin_quotient(graph, start), start, upper, budget)

@@ -39,15 +39,6 @@ def test_mul_factorisation_identity():
     assert rf([1, 1, 1]) * rf([-1, 1]) == rf([-1, 0, 0, 1])
 
 
-def test_div_exact_cancellation():
-    assert rf([-1, 0, 0, 1]) / rf([-1, 1]) == rf([1, 1, 1])
-
-
-def test_div_by_zero_rf():
-    with pytest.raises(ZeroDivisionError):
-        rf([1]) / rf([0])
-
-
 def test_eval_quadratic_at_3_and_5():
     f = rf([1, 1, 1])
     assert f.eval(3) == 13

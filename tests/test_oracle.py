@@ -288,6 +288,27 @@ def test_field_blocks_are_the_regular_representation(q):
             assert (F.blocks[F.add(a, b)] == (A + B) % p).all(), (a, b)
 
 
+def test_group_work_leaves_the_field_tables_unbuilt(monkeypatch):
+    # fresh fields and groups, so no other test's table reads show here
+    fields = {}
+    monkeypatch.setattr(oracle, "get_field", lambda q: fields.get(q) or fields.setdefault(q, oracle.Fq(q)))
+    monkeypatch.setattr(oracle, "_gl_group_cached", oracle.GLGroup)
+    tables = {"add_table", "mul_table", "neg_table", "inv_table"}
+    wall_bound_task(1, 1009)
+    for n, q in [(2, 4), (2, 5)]:
+        group = gl_group(n, q)
+        rows = group.decode(group.elements[count_cyclic_centralizers(n, q)[1][1]]).tolist()
+        normalizer_of_set(centralizer(FqMatrix(group.field, tuple(map(tuple, rows)))))
+        build_graph(n, q)
+        seed_clique(n, q)
+    for q in (1009, 4, 5):
+        assert not tables & vars(fields[q]).keys(), q
+    # a table is built on its first read, and equals the eager construction
+    F = fields[5]
+    assert F.neg_table == (0, 4, 3, 2, 1) and "add_table" not in vars(F)
+    assert F.inv_table == (0, 1, 3, 2, 4) and F.mul_table[2][3] == 1 and F.add_table[4][3] == 2
+
+
 def test_large_prime_field_tables():
     # q = 1009 is too large for the reference construction: check the tables
     # against integer arithmetic mod p on a sample, and every inverse
