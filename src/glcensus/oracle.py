@@ -3,12 +3,13 @@
 Everything here is explicit enumeration over F_q, q = p^e.  ``Fq`` builds
 each field from one definition, its regular representation over F_p (Lidl
 and Niederreiter, Finite Fields, ch. 2): element a becomes the e x e matrix
-``Fq.blocks[a]`` of multiplication by a, and every field table is read off
-those matrices.  A group element is kept as its code (its n^2 entries as
-base-q digits, row-major), enumerated in ascending code order, and the group
-work runs in numpy on its lift, each entry replaced by its block.  The lift
-is an injective ring homomorphism, so rank and equality over F_q are
-elimination mod p and array equality on d x d matrices over F_p, d = ne.
+``Fq.blocks[a]`` of multiplication by a, and there is no other product in
+F_q.  A matrix over F_q is worked on as its lift ``Fq.lift``, each entry
+replaced by its block.  The lift is an injective ring homomorphism, so
+products, rank and equality over F_q are products mod p, elimination mod p
+and array equality on d x d matrices over F_p, d = ne.  A group element is
+kept as its code (its n^2 entries as base-q digits, row-major), enumerated
+in ascending code order beside its lift.
 
 The two all-pairs scans are 2-D products of residues, run in floating point
 where every partial sum is an integer the float holds exactly: float32 below
@@ -32,9 +33,11 @@ cyclic span mostly does so within its first ne columns of n^2 e.  The
 working stack is the narrowest signed integer dtype holding (p - 1)^2 + p.
 ``normalizer_of_set`` first drops every g with g c0 outside Cg for one
 non-central member c0 of C, a necessary condition for gC = Cg, and compares
-the sorted codes of gC and Cg only for the rest.  ``min_poly`` is the one
-hand-written elimination left, for the block checks.  The ``*_task``
-functions at the end are the checks both the CLI and the verify suite run.
+the sorted codes of gC and Cg only for the rest.  The polynomial checks run
+on lifts too: irreducibility is Rabin's test on companion matrices, and the
+block identity min_poly(J_m(f)) = f^m is read off the powers of f(J).  The
+``*_task`` functions at the end are the checks both the CLI and the verify
+suite run, and each decides its own verdict.
 
 Budgets are decided from closed forms before anything is built: the group
 order caps enumeration, and jm-check's q + q^2 + q^3 candidate polynomials
@@ -51,7 +54,6 @@ equivalent and are not used here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -109,24 +111,19 @@ class Fq:
     residue mod f, the least monic irreducible of degree e in encoding order
     (f = t when e = 1).  ``blocks[a]`` = a(C) mod p, C the companion matrix of
     f, is the matrix of multiplication by a on 1, t, ..., t^(e-1): column j
-    holds the digits of a t^j.  It is the one definition of the product; the
-    dense add/mul/neg/inv tables are read off it and the digits, each on
-    first read: the group work reads only ``blocks``, and a q x q table of
-    Python ints costs about 100 MiB at q = 1009.
+    holds the digits of a t^j.  It is the one definition of the product:
+    matrices over F_q are multiplied as their ``lift``s, and only negation,
+    which needs no product, is read off the digits.
     """
 
     def __init__(self, q: int):
         p, e = check_prime_power(q)
-        self.q = q
-        self.p = p
-        self.e = e
+        self.q, self.p, self.e = q, p, e
         place = p ** np.arange(e)
         digits = np.arange(q)[:, None] // place % p
-        if e == 1:
-            self.modulus = (0, 1)
-        else:
-            self.modulus = next(f for f in (tuple(d) + (1,) for d in digits.tolist())
-                                if fqpoly_is_irreducible(get_field(p), f))
+        self._digits, self._place = digits, place
+        # row a of digits is the tail of the degree-e monic with code a
+        self.modulus = (0, 1) if e == 1 else next(_irreducibles(get_field(p), digits))
         companion = np.eye(e, k=-1, dtype=np.int64)
         companion[:, -1] = np.negative(self.modulus[:e]) % p
         powers = [np.eye(e, dtype=np.int64)]
@@ -134,43 +131,17 @@ class Fq:
             powers.append(powers[-1] @ companion % p)
         self.blocks = np.einsum("ai,ijk->ajk", digits, np.array(powers)) % p
         self.blocks.flags.writeable = False
-        self._digits, self._place = digits, place
 
-    @cached_property
-    def add_table(self) -> tuple[tuple[int, ...], ...]:
-        digits = self._digits
-        return tuple(map(tuple, ((digits[:, None] + digits) % self.p @ self._place).tolist()))
+    def neg(self, a):
+        """-a, for an element or an integer array of elements, digit by digit."""
+        return (-self._digits[a] % self.p) @ self._place
 
-    @cached_property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        mul = np.einsum("ajk,bk->abj", self.blocks, self._digits) % self.p @ self._place
-        return tuple(map(tuple, mul.tolist()))
-
-    @cached_property
-    def neg_table(self) -> tuple[int, ...]:
-        return tuple((-self._digits % self.p @ self._place).tolist())
-
-    @cached_property
-    def inv_table(self) -> tuple[int, ...]:
-        return tuple(np.argmax(np.array(self.mul_table) == 1, axis=1).tolist())
-
-    # element operations
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.inv_table[a]
+    def lift(self, entries) -> np.ndarray:
+        """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
+        the regular representation, entry a becoming ``blocks[a]``."""
+        entries = np.asarray(entries, dtype=np.int64)
+        d = entries.shape[-1] * self.e
+        return self.blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fq) and other.q == self.q
@@ -191,134 +162,65 @@ def get_field(q: int) -> Fq:
 # polynomials over Fq
 
 
-def fqpoly_trim(field: Fq, c) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _power(X: np.ndarray, k: int, p: int) -> np.ndarray:
+    """X^k mod p for a stack of square matrices over F_p, k >= 1, by
+    repeated squaring."""
+    if k == 1:
+        return X
+    half = _power(X @ X % p, k // 2, p)
+    return half @ X % p if k % 2 else half
 
 
-def fqpoly_mul(field: Fq, a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return fqpoly_trim(field, out)
+def _irreducibles(field: Fq, tails):
+    """The monic irreducible f = t^d + tail among a stack (B, d) of tails
+    (f_0, ..., f_(d-1)) over F_q, as ascending tuples in the order given,
+    yielded chunk by chunk, so a caller that stops early tests no more.
 
-
-def fqpoly_pow(field: Fq, f, m: int) -> tuple[int, ...]:
-    result = (1,)
-    for _ in range(m):
-        result = fqpoly_mul(field, result, f)
-    return result
-
-
-def fqpoly_divmod(field: Fq, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lb = field.inv(b[-1])
-    quo = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = field.mul(a[i + db], inv_lb)
-        if c:
-            quo[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] = field.sub(a[i + j], field.mul(c, bc))
-    return fqpoly_trim(field, quo), fqpoly_trim(field, a)
-
-
-def fqpoly_is_irreducible(field: Fq, f) -> bool:
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for deg in range(1, d // 2 + 1):
-        for tail in itertools.product(range(field.q), repeat=deg):
-            g = tail + (1,)
-            if not fqpoly_divmod(field, f, g)[1]:
-                return False
-    return True
+    Rabin's test (Rabin 1980), on the lifted companion matrix C of each f:
+    f is irreducible exactly when C^(q^d) = C and C^(q^(d/r)) - C is
+    invertible for every prime r | d.  Since f is the minimal polynomial of
+    C, g(C) = 0 exactly when f | g, and g(C) is invertible exactly when
+    gcd(g, f) = 1; for g = t^(q^k) - t these are Rabin's f | t^(q^d) - t and
+    gcd(f, t^(q^(d/r)) - t) = 1.  The lift keeps both products and
+    invertibility, so they are tested mod p."""
+    tails = np.asarray(tails, dtype=np.int64)
+    d = tails.shape[1]
+    size = d * field.e
+    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
+    for s in _slices(len(tails), (d + 4) * size * size):
+        companion = np.zeros((len(tails[s]), d, d), dtype=np.int64)
+        companion[:, np.arange(d - 1), np.arange(1, d)] = 1
+        companion[:, -1] = field.neg(tails[s])
+        frobenius = [field.lift(companion)]  # C^(q^k) for k = 0..d
+        for _ in range(d):
+            frobenius.append(_power(frobenius[-1], field.q, field.p))
+        irreducible = (frobenius[d] == frobenius[0]).all(axis=(1, 2))
+        for r in primes:
+            irreducible &= _rref(frobenius[d // r] - frobenius[0], field.p)[1] == size
+        yield from (tuple(tail) + (1,) for tail in tails[s][irreducible].tolist())
 
 
 def monic_irreducibles(field: Fq, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for tail in itertools.product(range(field.q), repeat=degree):
-        f = tail + (1,)
-        if fqpoly_is_irreducible(field, f):
-            out.append(f)
-    return out
+    """Every monic irreducible of the given degree over F_q, as ascending
+    tuples, in lexicographic order of (f_0, ..., f_(degree-1))."""
+    codes = np.arange(field.q**degree)[:, None]
+    return list(_irreducibles(field, codes // field.q ** np.arange(degree - 1, -1, -1) % field.q))
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# matrices, and the block matrices from the module classification
 
 
 @dataclass(frozen=True)
 class FqMatrix:
+    """An n x n matrix over F_q as its rows of element encodings."""
+
     field: Fq
     rows: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @staticmethod
-    def identity(field: Fq, n: int) -> FqMatrix:
-        return FqMatrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def __matmul__(self, other: FqMatrix) -> FqMatrix:
-        F = self.field
-        n = self.n
-        brows = other.rows
-        out = []
-        for i in range(n):
-            arow = self.rows[i]
-            row = []
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = F.add(acc, F.mul(arow[k], brows[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return FqMatrix(F, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# minimal polynomials
-
-
-def min_poly(M: FqMatrix) -> tuple[int, ...]:
-    """Monic minimal polynomial, ascending coefficients, via the first
-    linear dependency among I, M, M^2, ... in the n^2-dimensional space."""
-    F = M.field
-    n = M.n
-    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combo)
-    power = FqMatrix.identity(F, n)
-    for k in range(n + 1):
-        vec = [x for row in power.rows for x in row]
-        combo = [0] * (n + 1)
-        combo[k] = 1
-        for pivot, bvec, bcombo in basis:
-            c = vec[pivot]
-            if c:
-                vec = [F.sub(x, F.mul(c, y)) for x, y in zip(vec, bvec)]
-                combo = [F.sub(x, F.mul(c, y)) for x, y in zip(combo, bcombo)]
-        if not any(vec):
-            lead_inv = F.inv(combo[k])
-            return tuple(F.mul(lead_inv, c) for c in combo[: k + 1])
-        pivot = next(i for i, x in enumerate(vec) if x)
-        inv = F.inv(vec[pivot])
-        vec = [F.mul(inv, x) for x in vec]
-        combo = [F.mul(inv, x) for x in combo]
-        basis.append((pivot, vec, combo))
-        power = power @ M
-    raise AssertionError("no dependency among n+1 matrix powers")
-
-
-# ---------------------------------------------------------------------------
-# block matrices from the module classification
 
 
 def jm_block(field: Fq, f: tuple[int, ...], m: int) -> FqMatrix:
@@ -335,7 +237,7 @@ def jm_block(field: Fq, f: tuple[int, ...], m: int) -> FqMatrix:
         for i in range(d - 1):
             rows[off + i][off + i + 1] = 1
         for j in range(d):
-            rows[off + d - 1][off + j] = field.neg(f[j])
+            rows[off + d - 1][off + j] = int(field.neg(f[j]))
         if b + 1 < m:
             for i in range(d):
                 rows[off + i][off + d + i] = 1
@@ -455,7 +357,7 @@ def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
 
 class GLGroup:
     """Fully enumerated GL_n(q), each element stored once: ``elements`` holds
-    the codes in ascending order, ``lifted`` the matching stack over F_p.
+    the codes in ascending order, ``lifted`` their lifts over F_p.
     ``mats`` is a view of them as ``FqMatrix``, decoded on first read and kept
     for perfbench and the tests; no package path reads it."""
 
@@ -472,7 +374,7 @@ class GLGroup:
         elements, lifted = [], []
         for s in _slices(q ** (n * n), d * d):
             code = np.arange(s.start, s.stop)
-            lift = self.lift(self.decode(code))
+            lift = self.field.lift(self.decode(code))
             invertible = _rref(lift, p)[1] == d
             elements.append(code[invertible])
             lifted.append(lift[invertible])
@@ -492,13 +394,6 @@ class GLGroup:
     def mats(self) -> tuple[FqMatrix, ...]:
         return tuple(FqMatrix(self.field, tuple(map(tuple, rows)))
                      for rows in self.decode(self.elements).tolist())
-
-    def lift(self, entries) -> np.ndarray:
-        """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
-        the field's regular representation, entry a becoming ``field.blocks[a]``."""
-        entries = np.asarray(entries, dtype=np.int64)
-        d = self.n * self.field.e
-        return self.field.blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
 
     def codes(self, columns: np.ndarray) -> np.ndarray:
         """One integer per matrix in a stack of block columns (..., ne, n):
@@ -539,7 +434,7 @@ class GLGroup:
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
         """Indices of every group element commuting with M (full scan, with
         M on the operator side: one d^2 x d^2 operator against the group)."""
-        row = commuting_table(self.lift([M.rows]), self.lifted, self.field.p)[0]
+        row = commuting_table(self.field.lift([M.rows]), self.lifted, self.field.p)[0]
         return tuple(int(i) for i in np.flatnonzero(row))
 
     def cyclic_centralizer_census(self) -> tuple[int, ...]:
@@ -698,30 +593,72 @@ def centralizer_count_task(n: int, q: int, budget: Budget | None = None) -> tupl
     return count, value, count == value if q > n else count < value
 
 
-def regular_unipotent_task(n: int, q: int, budget: Budget | None = None) -> tuple[int, int, int, int]:
-    """(centralizer order, expected, normalizer order, expected) for the
-    regular unipotent of GL_n(q); for n = 1 the normalizer is all of GL_1(q)."""
+def regular_unipotent_task(n: int, q: int,
+                           budget: Budget | None = None) -> tuple[int, int, int, int, bool]:
+    """(centralizer order, expected, normalizer order, expected, whether both
+    are as expected) for the regular unipotent of GL_n(q); for n = 1 the
+    normalizer is all of GL_1(q)."""
     cset = centralizer(regular_unipotent(get_field(q), n), budget)
-    expect_normalizer = (q - 1) ** 2 * q ** (2 * n - 3) if n > 1 else q - 1
-    return cset.order, q**n - q ** (n - 1), normalizer_of_set(cset, budget), expect_normalizer
+    expect = q**n - q ** (n - 1)
+    norm = normalizer_of_set(cset, budget)
+    expect_norm = (q - 1) ** 2 * q ** (2 * n - 3) if n > 1 else q - 1
+    return cset.order, expect, norm, expect_norm, cset.order == expect and norm == expect_norm
 
 
-def jm_check_task(q: int,
-                  budget: Budget | None = None) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """(cases, failing (f, m)) of min_poly(J_m(f)) = f^m over F_q, for every
-    monic irreducible f of degree at most 3 and m <= 3.  The q + q^2 + q^3
-    candidate f are charged to the element budget before F_q is built."""
+def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np.ndarray:
+    """Whether min_poly(J_m(f)) != f^m, for each irreducible f of one degree
+    d in ``polys``: one bool per f.
+
+    With g = f(J): if g^m = 0 then the minimal polynomial of J divides f^m,
+    so it is f^k for some k <= m, as f is irreducible; g^(m-1) != 0 then
+    rules out every k < m.  Conversely, minimal polynomial f^m gives g^m = 0
+    and, f^(m-1) being no multiple of it, g^(m-1) != 0.  So the identity
+    holds exactly when g^m = 0 and g^(m-1) != 0.  g is formed in the lift as
+    sum_i lift(f_i I) lift(J)^i, by Horner's rule."""
+    d, p = len(polys[0]) - 1, field.p
+    size = d * m * field.e
+    fails = []
+    for s in _slices(len(polys), (d + 6) * size * size):
+        entries = np.array([jm_block(field, f, m).rows for f in polys[s]], dtype=np.int64)
+        J = field.lift(entries)
+        # the scalars f_i I, as entry arrays (B, d + 1, n, n)
+        eye = np.eye(entries.shape[-1], dtype=np.int64)
+        scalars = np.array(polys[s], dtype=np.int64)[:, :, None, None] * eye
+        g = field.lift(scalars[:, d])
+        for i in range(d - 1, -1, -1):
+            g = (g @ J + field.lift(scalars[:, i])) % p
+        power = field.lift(scalars[:, d])  # g^0 = I, f being monic
+        for _ in range(m - 1):
+            power = power @ g % p
+        fails.append(~power.any(axis=(1, 2)) | (power @ g % p).any(axis=(1, 2)))
+    return np.concatenate(fails)
+
+
+def jm_check_task(q: int, budget: Budget | None = None
+                  ) -> tuple[int, list[tuple[tuple[int, ...], int]], bool]:
+    """(cases, failing (f, m), whether none fails) of min_poly(J_m(f)) = f^m
+    over F_q, for every monic irreducible f of degree at most 3 and m <= 3,
+    in order of degree, f and m.  The q + q^2 + q^3 candidate f are charged
+    to the element budget before F_q is built."""
     budget = budget if budget is not None else DEFAULT_BUDGET
     candidates = q + q**2 + q**3
     if candidates > budget.elements:
         raise BudgetError(f"jm-check over F_{q} exceeds the enumeration budget", candidates, budget.elements)
     F = get_field(q)
-    cases = [(f, m) for d in (1, 2, 3) for f in monic_irreducibles(F, d) for m in (1, 2, 3)]
-    return len(cases), [(f, m) for f, m in cases if min_poly(jm_block(F, f, m)) != fqpoly_pow(F, f, m)]
+    cases, failures = 0, []
+    for d in (1, 2, 3):
+        polys = monic_irreducibles(F, d)
+        fails = np.stack([_block_identity_fails(F, polys, m) for m in (1, 2, 3)], axis=1)
+        cases += fails.size
+        failures += [(f, m) for f, row in zip(polys, fails.tolist())
+                     for m, fail in zip((1, 2, 3), row) if fail]
+    return cases, failures, not failures
 
 
-def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int]:
-    """(centralizer order, cyclic members) of the GL_4(2) witness: (16, 0)."""
+def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int, int, bool]:
+    """(centralizer order, expected order 16, cyclic members, whether the
+    order is 16 and no member is cyclic) for the GL_4(2) witness."""
     cset = centralizer(noncyclic_centralizer_witness(), budget)
     flags = gl_group(4, 2, budget).cyclic_flags()
-    return cset.order, sum(flags[i] for i in cset.members)
+    cyclic_members = sum(flags[i] for i in cset.members)
+    return cset.order, 16, cyclic_members, cset.order == 16 and cyclic_members == 0

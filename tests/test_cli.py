@@ -102,6 +102,17 @@ def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     assert "Traceback" not in out + err
 
 
+def test_seed_is_an_option_of_verify_only(capsys):
+    code, out, err = run_cli(capsys, "census", "--n", "2", "--seed", "1")
+    assert code == 2
+    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+    assert "Traceback" not in out + err
+    code, out, _ = run_cli(capsys, "verify", "--level", "fast", "--seed", "7", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["seed"] == 7
+    assert "25 randomised evaluation trials agree (seed=7)" in [c["detail"] for c in report["checks"]]
+
+
 def test_jm_check_refusal_builds_no_field(capsys):
     fields = oracle.get_field.cache_info()
     code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "64", "--task", "jm-check")

@@ -1,11 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from glcensus import cli, oracle
-from glcensus.census import a_polynomial, gl_order
+from glcensus.census import a_polynomial, check_prime_power, gl_order
 from glcensus.clique import build_graph, seed_clique
 from glcensus.oracle import (
     Budget,
@@ -19,12 +20,10 @@ from glcensus.oracle import (
     centralizer_count_task,
     commuting_table,
     count_cyclic_centralizers,
-    fqpoly_pow,
     get_field,
     gl_group,
     jm_block,
     jm_check_task,
-    min_poly,
     monic_irreducibles,
     noncyclic_centralizer_witness,
     normalizer_of_set,
@@ -34,171 +33,18 @@ from glcensus.oracle import (
 )
 
 
-# --- helpers only these tests use ---------------------------------------------
-
-
-def enumerate_gl(n: int, q: int, budget: Budget | None = None) -> tuple[FqMatrix, ...]:
-    """All invertible n x n matrices over F_q, lexicographic by entries."""
-    return gl_group(n, q, budget).mats
-
-
-def encode(M: FqMatrix) -> int:
-    """The entries of M as base-q digits in row-major order."""
-    enc = 0
-    for row in M.rows:
-        for x in row:
-            enc = enc * M.field.q + x
-    return enc
-
-
-def index_of(group, M: FqMatrix) -> int:
-    """The index of M in the group: the position of its code among the
-    ascending ``elements``."""
-    i = int(np.searchsorted(group.elements, encode(M)))
-    assert i < group.order and group.elements[i] == encode(M), M
-    return i
-
-
-def is_cyclic(M: FqMatrix) -> bool:
-    """The former library test, kept as the reference for the cyclic flags:
-    the minimal polynomial has full degree n."""
-    return len(min_poly(M)) - 1 == M.n
-
-
-def commutes(A: FqMatrix, B: FqMatrix) -> bool:
-    return A @ B == B @ A
-
-
-def inverse(M: FqMatrix) -> FqMatrix:
-    """The former ``FqMatrix.inverse``, Gauss-Jordan over the field tables,
-    kept as the reference for conjugation."""
-    F = M.field
-    n = M.n
-    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col])
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = F.inv(m[col][col])
-        m[col] = [F.mul(inv, x) for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                c = m[r][col]
-                m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
-    return FqMatrix(F, tuple(tuple(row[n:]) for row in m))
-
-
-def reference_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], int]:
-    """Reduced row echelon form mod p and rank, one matrix, in plain Python."""
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return m, rank
-
-
-def reference_census(group) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The former census, kept as the reference: one full commuting scan per
-    centralizer of a not yet covered cyclic element, with its distinctness
-    and partition cross-checks."""
-    flags = group.cyclic_flags()
-    covered = [False] * group.order
-    reps, sets = [], []
-    for idx, cyc in enumerate(flags):
-        if not cyc or covered[idx]:
-            continue
-        members = group.commuting_indices(group.mats[idx])
-        reps.append(idx)
-        sets.append(members)
-        for j in members:
-            if flags[j]:
-                covered[j] = True
-    assert len(set(sets)) == len(sets)
-    assert sum(sum(1 for j in s if flags[j]) for s in sets) == sum(flags)
-    return tuple(reps), tuple(sets)
-
-
-def char_poly(M: FqMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(tI - M), ascending, by the
-    division-free principal-minor recursion (Berkowitz)."""
-    F = M.field
-    n = M.n
-    rows = M.rows
-    # p holds det(tI - A_r) for the leading r x r block, descending degrees
-    p = [1, F.neg(rows[0][0])]
-    for r in range(2, n + 1):
-        a = rows[r - 1][r - 1]
-        row = [rows[r - 1][j] for j in range(r - 1)]
-        col = [rows[i][r - 1] for i in range(r - 1)]
-        q_vec = [1, F.neg(a)]
-        vec = col
-        for _ in range(r - 1):
-            acc = 0
-            for x, y in zip(row, vec):
-                acc = F.add(acc, F.mul(x, y))
-            q_vec.append(F.neg(acc))
-            nxt = []
-            for i in range(r - 1):
-                s = 0
-                for k in range(r - 1):
-                    s = F.add(s, F.mul(rows[i][k], vec[k]))
-                nxt.append(s)
-            vec = nxt
-        new_p = [0] * (r + 1)
-        for i, qi in enumerate(q_vec):
-            if qi and i <= r:
-                for j, pj in enumerate(p):
-                    if pj and i + j <= r:
-                        new_p[i + j] = F.add(new_p[i + j], F.mul(qi, pj))
-        p = new_p
-    return tuple(reversed(p))
-
-
-# --- fields -----------------------------------------------------------------
-
-
-def test_field_f4_modulus_and_tables():
-    F4 = get_field(4)
-    assert F4.p == 2 and F4.e == 2
-    assert F4.modulus == (1, 1, 1)  # x^2 + x + 1, the only irreducible quadratic
-    # addition is XOR of encodings in characteristic 2
-    assert F4.add(2, 3) == 1
-    # x * x = x + 1 -> encoding 2*2 = 3
-    assert F4.mul(2, 2) == 3
-    for a in range(1, 4):
-        assert F4.mul(a, F4.inv(a)) == 1
-
-
-def test_field_f9():
-    F9 = get_field(9)
-    assert (F9.p, F9.e) == (3, 2)
-    for a in range(1, 9):
-        assert F9.mul(a, F9.inv(a)) == 1
-    # field axioms spot check: distributivity over all triples
-    for a, b, c in itertools.product(range(9), repeat=3):
-        assert F9.mul(a, F9.add(b, c)) == F9.add(F9.mul(a, b), F9.mul(a, c))
-
-
-def test_non_prime_power_rejected():
-    with pytest.raises(ValueError):
-        get_field(6)
+# --- the tests' own F_q arithmetic ---------------------------------------------
+#
+# The references below multiply over F_q through the tables of
+# ``reference_field_tables``, which builds each field by its own polynomial
+# arithmetic mod p, so no reference reads the library's ``Fq.blocks``.
 
 
 def reference_field_tables(q: int):
     """The former construction of F_q, kept as the reference: its own
     polynomial division and trial-division irreducibility test mod p, and a
     hand-written product loop.  Returns (modulus, add, mul, neg, inv)."""
-    F = get_field(q)
-    p, e = F.p, F.e
+    p, e = check_prime_power(q)
 
     def trim(c):
         while c and c[-1] == 0:
@@ -254,15 +100,292 @@ def reference_field_tables(q: int):
     return modulus, add, mul, neg, inv
 
 
+class RefField:
+    """F_q element operations read off ``reference_field_tables``."""
+
+    def __init__(self, q: int):
+        _, self._add, self._mul, self._neg, self._inv = reference_field_tables(q)
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._add[a][self._neg[b]]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a][b]
+
+    def inv(self, a: int) -> int:
+        assert a, "inverse of zero"
+        return self._inv[a]
+
+
+@lru_cache(maxsize=None)
+def ref_field(q: int) -> RefField:
+    return RefField(q)
+
+
+def identity(field, n: int) -> FqMatrix:
+    return FqMatrix(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def matmul(A: FqMatrix, B: FqMatrix) -> FqMatrix:
+    """The former ``FqMatrix.__matmul__``, over the reference tables."""
+    F = ref_field(A.field.q)
+    n = A.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = F.add(acc, F.mul(A.rows[i][k], B.rows[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return FqMatrix(A.field, tuple(out))
+
+
+def commutes(A: FqMatrix, B: FqMatrix) -> bool:
+    return matmul(A, B) == matmul(B, A)
+
+
+def inverse(M: FqMatrix) -> FqMatrix:
+    """The former ``FqMatrix.inverse``, Gauss-Jordan over the reference
+    tables, kept as the reference for conjugation."""
+    F = ref_field(M.field.q)
+    n = M.n
+    m = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = F.inv(m[col][col])
+        m[col] = [F.mul(inv, x) for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                c = m[r][col]
+                m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
+    return FqMatrix(M.field, tuple(tuple(row[n:]) for row in m))
+
+
+def min_poly(M: FqMatrix) -> tuple[int, ...]:
+    """The former library ``min_poly``: the monic minimal polynomial,
+    ascending, from the first linear dependency among I, M, M^2, ..."""
+    F = ref_field(M.field.q)
+    n = M.n
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combo)
+    power = identity(M.field, n)
+    for k in range(n + 1):
+        vec = [x for row in power.rows for x in row]
+        combo = [0] * (n + 1)
+        combo[k] = 1
+        for pivot, bvec, bcombo in basis:
+            c = vec[pivot]
+            if c:
+                vec = [F.sub(x, F.mul(c, y)) for x, y in zip(vec, bvec)]
+                combo = [F.sub(x, F.mul(c, y)) for x, y in zip(combo, bcombo)]
+        if not any(vec):
+            lead_inv = F.inv(combo[k])
+            return tuple(F.mul(lead_inv, c) for c in combo[: k + 1])
+        pivot = next(i for i, x in enumerate(vec) if x)
+        inv = F.inv(vec[pivot])
+        vec = [F.mul(inv, x) for x in vec]
+        combo = [F.mul(inv, x) for x in combo]
+        basis.append((pivot, vec, combo))
+        power = matmul(power, M)
+    raise AssertionError("no dependency among n+1 matrix powers")
+
+
+def poly_pow(q: int, f, m: int) -> tuple[int, ...]:
+    """f^m over F_q, ascending; f monic, so no leading zero arises."""
+    F = ref_field(q)
+    result = (1,)
+    for _ in range(m):
+        out = [0] * (len(result) + len(f) - 1)
+        for i, a in enumerate(result):
+            for j, b in enumerate(f):
+                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        result = tuple(out)
+    return result
+
+
+def poly_rem(q: int, a, b) -> tuple[int, ...]:
+    """The remainder of a by monic b over F_q, ascending, trailing zeros trimmed."""
+    F = ref_field(q)
+    a = list(a)
+    db = len(b) - 1
+    for i in range(len(a) - db - 1, -1, -1):
+        c = a[i + db]
+        for j, bc in enumerate(b):
+            a[i + j] = F.sub(a[i + j], F.mul(c, bc))
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def enumerate_gl(n: int, q: int, budget: Budget | None = None) -> tuple[FqMatrix, ...]:
+    """All invertible n x n matrices over F_q, lexicographic by entries."""
+    return gl_group(n, q, budget).mats
+
+
+def encode(M: FqMatrix) -> int:
+    """The entries of M as base-q digits in row-major order."""
+    enc = 0
+    for row in M.rows:
+        for x in row:
+            enc = enc * M.field.q + x
+    return enc
+
+
+def index_of(group, M: FqMatrix) -> int:
+    """The index of M in the group: the position of its code among the
+    ascending ``elements``."""
+    i = int(np.searchsorted(group.elements, encode(M)))
+    assert i < group.order and group.elements[i] == encode(M), M
+    return i
+
+
+def is_cyclic(M: FqMatrix) -> bool:
+    """The former library test, kept as the reference for the cyclic flags:
+    the minimal polynomial has full degree n."""
+    return len(min_poly(M)) - 1 == M.n
+
+
+def reference_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], int]:
+    """Reduced row echelon form mod p and rank, one matrix, in plain Python."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [(x - c * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return m, rank
+
+
+def reference_census(group) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The former census, kept as the reference: one full commuting scan per
+    centralizer of a not yet covered cyclic element, with its distinctness
+    and partition cross-checks."""
+    flags = group.cyclic_flags()
+    covered = [False] * group.order
+    reps, sets = [], []
+    for idx, cyc in enumerate(flags):
+        if not cyc or covered[idx]:
+            continue
+        members = group.commuting_indices(group.mats[idx])
+        reps.append(idx)
+        sets.append(members)
+        for j in members:
+            if flags[j]:
+                covered[j] = True
+    assert len(set(sets)) == len(sets)
+    assert sum(sum(1 for j in s if flags[j]) for s in sets) == sum(flags)
+    return tuple(reps), tuple(sets)
+
+
+def char_poly(M: FqMatrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(tI - M), ascending, by the
+    division-free principal-minor recursion (Berkowitz)."""
+    F = ref_field(M.field.q)
+    n = M.n
+    rows = M.rows
+    # p holds det(tI - A_r) for the leading r x r block, descending degrees
+    p = [1, F.neg(rows[0][0])]
+    for r in range(2, n + 1):
+        a = rows[r - 1][r - 1]
+        row = [rows[r - 1][j] for j in range(r - 1)]
+        col = [rows[i][r - 1] for i in range(r - 1)]
+        q_vec = [1, F.neg(a)]
+        vec = col
+        for _ in range(r - 1):
+            acc = 0
+            for x, y in zip(row, vec):
+                acc = F.add(acc, F.mul(x, y))
+            q_vec.append(F.neg(acc))
+            nxt = []
+            for i in range(r - 1):
+                s = 0
+                for k in range(r - 1):
+                    s = F.add(s, F.mul(rows[i][k], vec[k]))
+                nxt.append(s)
+            vec = nxt
+        new_p = [0] * (r + 1)
+        for i, qi in enumerate(q_vec):
+            if qi and i <= r:
+                for j, pj in enumerate(p):
+                    if pj and i + j <= r:
+                        new_p[i + j] = F.add(new_p[i + j], F.mul(qi, pj))
+        p = new_p
+    return tuple(reversed(p))
+
+
+# --- fields -----------------------------------------------------------------
+
+
+def element_of(F, matrix) -> int:
+    """The element whose block is ``matrix``, which must be one."""
+    hits = np.flatnonzero((F.blocks == matrix).all(axis=(1, 2)))
+    assert len(hits) == 1, matrix
+    return int(hits[0])
+
+
+def test_field_f4_modulus_and_tables():
+    F4 = get_field(4)
+    assert F4.p == 2 and F4.e == 2
+    assert F4.modulus == (1, 1, 1)  # x^2 + x + 1, the only irreducible quadratic
+    B = F4.blocks
+    # addition is XOR of encodings in characteristic 2
+    assert element_of(F4, (B[2] + B[3]) % 2) == 1
+    # x * x = x + 1 -> encoding 2*2 = 3
+    assert element_of(F4, B[2] @ B[2] % 2) == 3
+    # every nonzero block is invertible, with an inverse among the blocks
+    for a in range(1, 4):
+        assert any(element_of(F4, B[a] @ B[b] % 2) == 1 for b in range(1, 4))
+
+
+def test_field_f9():
+    F9 = get_field(9)
+    assert (F9.p, F9.e) == (3, 2)
+    B = F9.blocks
+    # the blocks are closed under + and *, commute, and the nonzero ones
+    # are invertible: a field of 9 elements
+    products = np.einsum("aij,bjk->abik", B, B) % 3
+    sums = (B[:, None] + B[None]) % 3
+    for a, b in itertools.product(range(9), repeat=2):
+        assert element_of(F9, products[a, b]) == element_of(F9, products[b, a])
+        element_of(F9, sums[a, b])
+    assert (_rref(B[1:], 3)[1] == 2).all()
+    assert list(F9.neg(np.arange(9))) == [element_of(F9, -B[a] % 3) for a in range(9)]
+
+
+def test_non_prime_power_rejected():
+    with pytest.raises(ValueError):
+        get_field(6)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 27, 125])
 def test_field_tables_match_reference_construction(q):
+    # the modulus, and the blocks' sums, products and negatives read as
+    # encodings, equal the tables built by the reference polynomial arithmetic
     F = get_field(q)
-    modulus, add, mul, neg, inv = reference_field_tables(q)
+    modulus, add, mul, neg, _ = reference_field_tables(q)
+    p = F.p
     assert F.modulus == modulus
-    assert [list(r) for r in F.add_table] == add
-    assert [list(r) for r in F.mul_table] == mul
-    assert list(F.neg_table) == neg
-    assert list(F.inv_table) == inv
+    assert (F.blocks[add] == (F.blocks[:, None] + F.blocks[None]) % p).all()
+    assert (F.blocks[mul] == np.einsum("aij,bjk->abik", F.blocks, F.blocks) % p).all()
+    assert F.neg(np.arange(q)).tolist() == neg
+    # column 0 of blocks[a] is a times 1: the base-p digits of a
+    assert (F.blocks[:, :, 0] @ p ** np.arange(F.e) == np.arange(q)).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 27])
@@ -271,6 +394,7 @@ def test_field_blocks_are_the_regular_representation(q):
     # p) goes to the companion matrix of the modulus, and column j of
     # blocks[a] holds the base-p digits of a t^j (t^j encodes as p^j)
     F = get_field(q)
+    ref = ref_field(q)
     p, e = F.p, F.e
     blocks = F.blocks.tolist()
     assert F.blocks.shape == (q, e, e)
@@ -281,45 +405,52 @@ def test_field_blocks_are_the_regular_representation(q):
         return [x // p**i % p for i in range(e)]
 
     for a in range(q):
-        assert [list(col) for col in zip(*blocks[a])] == [digits(F.mul(a, p**j)) for j in range(e)]
+        assert [list(col) for col in zip(*blocks[a])] == [digits(ref.mul(a, p**j)) for j in range(e)]
         for b in range(q):
             A, B = F.blocks[a], F.blocks[b]
-            assert (F.blocks[F.mul(a, b)] == A @ B % p).all(), (a, b)
-            assert (F.blocks[F.add(a, b)] == (A + B) % p).all(), (a, b)
-
-
-def test_group_work_leaves_the_field_tables_unbuilt(monkeypatch):
-    # fresh fields and groups, so no other test's table reads show here
-    fields = {}
-    monkeypatch.setattr(oracle, "get_field", lambda q: fields.get(q) or fields.setdefault(q, oracle.Fq(q)))
-    monkeypatch.setattr(oracle, "_gl_group_cached", oracle.GLGroup)
-    tables = {"add_table", "mul_table", "neg_table", "inv_table"}
-    wall_bound_task(1, 1009)
-    for n, q in [(2, 4), (2, 5)]:
-        group = gl_group(n, q)
-        rows = group.decode(group.elements[count_cyclic_centralizers(n, q)[1][1]]).tolist()
-        normalizer_of_set(centralizer(FqMatrix(group.field, tuple(map(tuple, rows)))))
-        build_graph(n, q)
-        seed_clique(n, q)
-    for q in (1009, 4, 5):
-        assert not tables & vars(fields[q]).keys(), q
-    # a table is built on its first read, and equals the eager construction
-    F = fields[5]
-    assert F.neg_table == (0, 4, 3, 2, 1) and "add_table" not in vars(F)
-    assert F.inv_table == (0, 1, 3, 2, 4) and F.mul_table[2][3] == 1 and F.add_table[4][3] == 2
+            assert (F.blocks[ref.mul(a, b)] == A @ B % p).all(), (a, b)
+            assert (F.blocks[ref.add(a, b)] == (A + B) % p).all(), (a, b)
 
 
 def test_large_prime_field_tables():
-    # q = 1009 is too large for the reference construction: check the tables
-    # against integer arithmetic mod p on a sample, and every inverse
+    # q = 1009 is too large for the reference construction: its blocks are
+    # the 1 x 1 matrices [a], and the lift multiplies as integers mod p
     F = get_field(1009)
     assert (F.p, F.e, F.modulus) == (1009, 1, (0, 1))
-    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, 1009))
+    assert (F.blocks.reshape(-1) == np.arange(1009)).all()
+    assert (F.neg(np.arange(1009)) == -np.arange(1009) % 1009).all()
     rng = np.random.default_rng(1009)
-    for a, b in rng.integers(0, 1009, size=(500, 2)).tolist() + [[0, 0], [1008, 1008], [1, 1008]]:
-        assert F.add(a, b) == (a + b) % 1009
-        assert F.mul(a, b) == a * b % 1009
-        assert F.neg(a) == -a % 1009
+    A, B = rng.integers(0, 1009, (2, 50, 2, 2))
+    assert (F.lift(A) @ F.lift(B) % 1009 == (A @ B) % 1009).all()
+
+
+def necklaces(q: int, d: int) -> int:
+    """(1/d) sum over k | d of mu(d/k) q^k, the number of monic irreducibles
+    of degree d over F_q (Lidl and Niederreiter, Theorem 3.25)."""
+    def mu(k):
+        primes = [r for r in range(2, k + 1) if k % r == 0 and all(r % s for s in range(2, r))]
+        return 0 if any(k % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+    return sum(mu(d // k) * q**k for k in range(1, d + 1) if d % k == 0) // d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_irreducible_counts_are_necklace_counts(q):
+    F = get_field(q)
+    for d in (1, 2, 3):
+        polys = monic_irreducibles(F, d)
+        assert len(polys) == len(set(polys)) == necklaces(q, d), (q, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_irreducibles_have_no_factor(q):
+    # degree 2 and 3 monics are irreducible exactly when no t - a divides
+    # them: trial division over the reference tables, in the library's order
+    F = get_field(q)
+    linear = [(a, 1) for a in range(q)]
+    for d in (2, 3):
+        expect = [tail + (1,) for tail in itertools.product(range(q), repeat=d)
+                  if all(poly_rem(q, tail + (1,), g) for g in linear)]
+        assert monic_irreducibles(F, d) == expect, (q, d)
 
 
 # --- enumeration ------------------------------------------------------------
@@ -353,7 +484,7 @@ def test_budget_refuses_gl34_census_by_default():
 
 def test_jm_check_budget_counts_candidate_polynomials():
     # q + q^2 + q^3 candidates: 14 for q = 2, refused before F_q is built
-    assert jm_check_task(2, Budget(elements=14)) == (15, [])
+    assert jm_check_task(2, Budget(elements=14)) == (15, [], True)
     with pytest.raises(BudgetError) as err:
         jm_check_task(2, Budget(elements=13))
     assert (err.value.required, err.value.allowed) == (14, 13)
@@ -375,7 +506,7 @@ def test_normalizer_refusal_precedes_enumeration():
 
 def test_min_poly_scalar():
     F2 = get_field(2)
-    assert min_poly(FqMatrix.identity(F2, 2)) == (1, 1)  # t - 1 over F_2
+    assert min_poly(identity(F2, 2)) == (1, 1)  # t - 1 over F_2
 
 
 def test_min_poly_companion_is_f():
@@ -393,7 +524,7 @@ def test_jm_block_min_poly_grid():
             for f in monic_irreducibles(F, d):
                 for m in (1, 2, 3):
                     J = jm_block(F, f, m)
-                    expect = fqpoly_pow(F, f, m)
+                    expect = poly_pow(q, f, m)
                     assert min_poly(J) == expect, (q, f, m)
                     assert char_poly(J) == expect, (q, f, m)
                     assert is_cyclic(J)
@@ -402,13 +533,47 @@ def test_jm_block_min_poly_grid():
                         assert group.cyclic_flags()[index_of(group, J)], (q, f, m)
 
 
+JM_BLOCK = oracle.jm_block
+
+
+def corner_added(field, f, m):
+    """J_m(f) with 1 added to its top right entry."""
+    rows = [list(r) for r in JM_BLOCK(field, f, m).rows]
+    rows[0][-1] = ref_field(field.q).add(rows[0][-1], 1)
+    return FqMatrix(field, tuple(map(tuple, rows)))
+
+
+def unsigned_tail(field, f, m):
+    """J_m(f) with each companion block's last row f_0..f_(d-1), not its
+    negative: the same matrix in characteristic 2 only."""
+    d = len(f) - 1
+    rows = [list(r) for r in JM_BLOCK(field, f, m).rows]
+    for b in range(m):
+        rows[b * d + d - 1][b * d:b * d + d] = f[:d]
+    return FqMatrix(field, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("mutation,q,count", [
+    (corner_added, 2, 8), (corner_added, 3, 16), (corner_added, 4, 36), (corner_added, 5, 55),
+    (unsigned_tail, 2, 0), (unsigned_tail, 3, 39), (unsigned_tail, 5, 162)])
+def test_jm_check_reports_exactly_the_broken_cases(monkeypatch, mutation, q, count):
+    # the failures jm-check reports for a broken jm_block are exactly the
+    # cases whose reference minimal polynomial is not f^m, in case order
+    F = get_field(q)
+    cases = [(f, m) for d in (1, 2, 3) for f in monic_irreducibles(F, d) for m in (1, 2, 3)]
+    broken = [(f, m) for f, m in cases if min_poly(mutation(F, f, m)) != poly_pow(q, f, m)]
+    monkeypatch.setattr(oracle, "jm_block", mutation)
+    assert jm_check_task(q) == (len(cases), broken, not broken)
+    assert len(broken) == count
+
+
 def test_char_poly_against_leibniz():
     # independent oracle: det(tI - M) expanded over permutations, for
     # every matrix in GL_2(3) and a sample of GL_3(2)
     import itertools as it
 
     def leibniz_char(M):
-        F = M.field
+        F = ref_field(M.field.q)
         n = M.n
         # entries of tI - M as degree<=1 polynomials over F
         entry = {}
@@ -453,15 +618,9 @@ def test_char_poly_against_leibniz():
 
 
 def test_min_divides_char_everywhere_small():
-    from glcensus.oracle import fqpoly_divmod
-
     for n, q in [(2, 2), (2, 3), (3, 2)]:
-        F = get_field(q)
         for M in enumerate_gl(n, q):
-            mp = min_poly(M)
-            cp = char_poly(M)
-            _, rem = fqpoly_divmod(F, cp, mp)
-            assert rem == ()
+            assert poly_rem(q, char_poly(M), min_poly(M)) == ()
 
 
 # --- cyclicity and the proportion bound --------------------------------------
@@ -470,14 +629,14 @@ def test_min_divides_char_everywhere_small():
 def test_regular_unipotent_is_cyclic():
     F2 = get_field(2)
     u = regular_unipotent(F2, 3)
-    assert min_poly(u) == fqpoly_pow(F2, (1, 1), 3)  # (t-1)^3 = (t+1)^3 over F_2
+    assert min_poly(u) == poly_pow(2, (1, 1), 3)  # (t-1)^3 = (t+1)^3 over F_2
     group = gl_group(3, 2)
     assert group.cyclic_flags()[index_of(group, u)]
 
 
 def test_identity_not_cyclic():
     group = gl_group(2, 3)
-    assert not group.cyclic_flags()[index_of(group, FqMatrix.identity(group.field, 2))]
+    assert not group.cyclic_flags()[index_of(group, identity(group.field, 2))]
 
 
 def test_witness_matrix_not_cyclic_nor_its_centralizer():
@@ -548,11 +707,11 @@ def test_centralizer_set_properties():
     for idx in (1, 5, 11):
         cset = centralizer(group.mats[idx])
         members = set(cset.members)
-        assert index_of(group, FqMatrix.identity(group.field, 2)) in members
+        assert index_of(group, identity(group.field, 2)) in members
         # closure under multiplication
         for i in list(members)[:6]:
             for j in list(members)[:6]:
-                prod = group.mats[i] @ group.mats[j]
+                prod = matmul(group.mats[i], group.mats[j])
                 assert index_of(group, prod) in members
         assert gl_order(2).eval(3) % cset.order == 0
 
@@ -607,9 +766,9 @@ def test_normalizer_scan_budget():
 
 def test_matrix_inverse_roundtrip():
     group = gl_group(2, 4)
-    I = FqMatrix.identity(group.field, 2)
+    I = identity(group.field, 2)
     for M in group.mats[::13]:
-        assert M @ inverse(M) == inverse(M) @ M == I
+        assert matmul(M, inverse(M)) == matmul(inverse(M), M) == I
         assert inverse(M) in group.mats
 
 
@@ -647,15 +806,15 @@ def test_lift_is_multiplicative(q):
     sample = group.mats[:: max(1, group.order // 40)]
     for A in sample:
         for B in sample[::3]:
-            product = group.lift(A.rows) @ group.lift(B.rows) % p
-            assert int(group.codes(product[..., ::group.field.e])) == encode(A @ B)
+            product = group.field.lift(A.rows) @ group.field.lift(B.rows) % p
+            assert int(group.codes(product[..., ::group.field.e])) == encode(matmul(A, B))
 
 
 def test_commuting_indices_matches_per_element_scan():
     group = gl_group(2, 4)
     F = group.field
     singular = FqMatrix(F, ((0, 2), (0, 0)))
-    for M in list(group.mats[::23]) + [singular, FqMatrix.identity(F, 2)]:
+    for M in list(group.mats[::23]) + [singular, identity(F, 2)]:
         expect = tuple(i for i, H in enumerate(group.mats) if commutes(H, M))
         assert group.commuting_indices(M) == expect
 
@@ -681,7 +840,7 @@ def normalizer_by_conjugation(group, cset) -> int:
     count = 0
     for g in group.mats:
         g_inv = inverse(g)
-        count += all((g @ group.mats[i] @ g_inv).rows in members for i in cset.members)
+        count += all(matmul(matmul(g, group.mats[i]), g_inv).rows in members for i in cset.members)
     return count
 
 
@@ -712,7 +871,7 @@ def test_normalizer_prefilter_keeps_the_whole_group(n, q, expected):
     # no non-central member to test and must keep every g; in GL_2(3) it has
     # one, and every g still lies in the normalizer
     group = gl_group(n, q)
-    cset = centralizer(FqMatrix.identity(group.field, n))
+    cset = centralizer(identity(group.field, n))
     assert cset.order == group.order
     assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset) == expected
 
@@ -817,7 +976,7 @@ def test_enumeration_matches_determinant_filter(n, q):
             expect.append(M)
     assert group.elements.tolist() == [encode(M) for M in expect]
     assert group.mats == tuple(expect)  # decoded from the codes
-    assert (group.lifted == group.lift([M.rows for M in expect])).all()
+    assert (group.lifted == F.lift([M.rows for M in expect])).all()
 
 
 def test_package_paths_leave_mats_unbuilt(monkeypatch, capsys, tmp_path):
@@ -838,7 +997,7 @@ def test_package_paths_leave_mats_unbuilt(monkeypatch, capsys, tmp_path):
     assert len(seed_clique(2, 3)) == 13
     assert wall_bound_task(2, 3)[2]
     assert centralizer_count_task(2, 3)[2]
-    assert regular_unipotent_task(2, 3) == (6, 6, 12, 12)
+    assert regular_unipotent_task(2, 3) == (6, 6, 12, 12, True)
     assert cli.main(["clique", "omega", "--n", "2", "--q", "3",
                      "--emit-witness", str(tmp_path / "witness.txt")]) == 0
     capsys.readouterr()

@@ -1,11 +1,12 @@
 """The verify suite's contract: its check IDs, statuses and details, and how
 a check's failure or refusal reaches the report."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from glcensus import asympt, oracle, verify
+from glcensus import asympt, cli, oracle, verify
 
 # (id, level, full-level detail); every full-level status is "pass"
 CHECKS = [
@@ -97,3 +98,36 @@ def test_a_crashed_check_is_a_failed_check(monkeypatch):
 def test_a_budget_refused_by_a_check_refuses_the_whole_run():
     with pytest.raises(oracle.BudgetError, match="exceeds the enumeration budget"):
         verify.verify_all("full", budget=oracle.Budget(elements=1))
+
+
+FULL_CHECKS = {"check_wall_bound", "check_centralizer_count", "check_q_equals_n",
+               "check_structural", "check_omega"}
+
+
+def test_a_full_level_refusal_runs_no_fast_check(monkeypatch):
+    fast = {name for name in vars(verify) if name.startswith("check_")} - FULL_CHECKS
+    assert len(fast) == 12
+    for name in fast:
+        monkeypatch.setattr(verify, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(oracle.BudgetError):
+        verify.verify_all(level="full", budget=oracle.Budget(elements=1))
+
+
+def test_the_tasks_verdicts_reach_the_cli_and_the_structural_check(monkeypatch, capsys):
+    # a wrong normalizer order and a witness with a large, cyclic centralizer
+    monkeypatch.setattr(oracle, "normalizer_of_set", lambda cset, budget=None: 0)
+    monkeypatch.setattr(oracle, "noncyclic_centralizer_witness",
+                        lambda: oracle.FqMatrix(oracle.get_field(2), tuple(
+                            tuple(int(i == j) for j in range(4)) for i in range(4))))
+    assert oracle.regular_unipotent_task(2, 2) == (2, 2, 0, 2, False)
+    assert oracle.remark_matrix_task() == (20160, 16, 17352, False)  # every cyclic element
+    for task in ("regular-unipotent", "remark-matrix"):
+        assert cli.main(["oracle", "--n", "4" if task == "remark-matrix" else "2", "--q", "2",
+                         "--task", task]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["as_expected"], payload["status"]) == (False, "fail")
+    status, detail = verify.check_structural()
+    assert status == verify.FAIL
+    assert detail.split("; ") == [f"regular unipotent ({n},{q}): normalizer order 0"
+                                  for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]] + [
+        "witness matrix: order 20160, cyclic members 17352"]
