@@ -624,10 +624,9 @@ def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np
         # the scalars f_i I, as entry arrays (B, d + 1, n, n)
         eye = np.eye(entries.shape[-1], dtype=np.int64)
         scalars = np.array(polys[s], dtype=np.int64)[:, :, None, None] * eye
-        g = field.lift(scalars[:, d])
+        g = power = field.lift(scalars[:, d])  # f_d I = I = g^0, f being monic
         for i in range(d - 1, -1, -1):
             g = (g @ J + field.lift(scalars[:, i])) % p
-        power = field.lift(scalars[:, d])  # g^0 = I, f being monic
         for _ in range(m - 1):
             power = power @ g % p
         fails.append(~power.any(axis=(1, 2)) | (power @ g % p).any(axis=(1, 2)))
@@ -658,7 +657,8 @@ def jm_check_task(q: int, budget: Budget | None = None
 def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int, int, bool]:
     """(centralizer order, expected order 16, cyclic members, whether the
     order is 16 and no member is cyclic) for the GL_4(2) witness."""
+    expect = 16
     cset = centralizer(noncyclic_centralizer_witness(), budget)
     flags = gl_group(4, 2, budget).cyclic_flags()
     cyclic_members = sum(flags[i] for i in cset.members)
-    return cset.order, 16, cyclic_members, cset.order == 16 and cyclic_members == 0
+    return cset.order, expect, cyclic_members, cset.order == expect and cyclic_members == 0
