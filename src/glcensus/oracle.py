@@ -35,9 +35,9 @@ working stack is the narrowest signed integer dtype holding (p - 1)^2 + p.
 non-central member c0 of C, a necessary condition for gC = Cg, and compares
 the sorted codes of gC and Cg only for the rest.  The polynomial checks run
 on lifts too: irreducibility is Rabin's test on companion matrices, and the
-block identity min_poly(J_m(f)) = f^m is read off the powers of f(J).  The
-``*_task`` functions at the end are the checks both the CLI and the verify
-suite run, and each decides its own verdict.
+block identity "J_m(f) has minimal polynomial f^m" is read off the powers of
+f(J).  The ``*_task`` functions at the end are the checks both the CLI and
+the verify suite run, and each decides its own verdict.
 
 Budgets are decided from closed forms before anything is built: the group
 order caps enumeration, and jm-check's q + q^2 + q^3 candidate polynomials
@@ -606,8 +606,8 @@ def regular_unipotent_task(n: int, q: int,
 
 
 def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np.ndarray:
-    """Whether min_poly(J_m(f)) != f^m, for each irreducible f of one degree
-    d in ``polys``: one bool per f.
+    """Whether the minimal polynomial of J_m(f) is not f^m, for each
+    irreducible f of one degree d in ``polys``: one bool per f.
 
     With g = f(J): if g^m = 0 then the minimal polynomial of J divides f^m,
     so it is f^k for some k <= m, as f is irreducible; g^(m-1) != 0 then
@@ -635,10 +635,10 @@ def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np
 
 def jm_check_task(q: int, budget: Budget | None = None
                   ) -> tuple[int, list[tuple[tuple[int, ...], int]], bool]:
-    """(cases, failing (f, m), whether none fails) of min_poly(J_m(f)) = f^m
-    over F_q, for every monic irreducible f of degree at most 3 and m <= 3,
-    in order of degree, f and m.  The q + q^2 + q^3 candidate f are charged
-    to the element budget before F_q is built."""
+    """(cases, failing (f, m), whether none fails) of "J_m(f) has minimal
+    polynomial f^m" over F_q, for every monic irreducible f of degree at
+    most 3 and m <= 3, in order of degree, f and m.  The q + q^2 + q^3
+    candidate f are charged to the element budget before F_q is built."""
     budget = budget if budget is not None else DEFAULT_BUDGET
     candidates = q + q**2 + q**3
     if candidates > budget.elements:
