@@ -43,8 +43,9 @@ integral by induction on j.  a_polynomial also requires each a_j to be
 monic of degree j^2 - j, and builds a_0, a_1, ... once per process.
 b_coefficient is a_n / |GL_n| after one reduction; class_sum keeps the label
 sum as the definition-level cross-check.  block_normalizer is N(d, m) as a
-polynomial for normalizer_order; _denominator_shape, which class_sum uses,
-encodes it independently as a q-power, (q^d - 1)-exponents and an integer.
+polynomial, and normalizer_order the label's N_mu built from it; class_sum
+and the split-torus correction of omega_closed read N_mu from there, and
+only exp_coefficients keeps its own sparse form of N(d, m), above.
 
 All values are exact and in the formal symbol q: the normaliser orders,
 |GL_n| and a_n are IntPolynomials, and b_n is a reduced RationalFunction.
@@ -182,25 +183,6 @@ def block_normalizer(d: int, m: int) -> IntPolynomial:
     return (qd_minus_1 * qd_minus_1).scale(d).shift_up(d * (2 * m - 3))
 
 
-def _denominator_shape(mu: MuFunction) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """Split 1/normalizer_order(mu) as (q-power, (q^d-1)-exponents, integer).
-
-    Lets class_sum group the many labels that share a polynomial
-    denominator before doing any rational-function arithmetic.
-    """
-    qpow = 0
-    exps: dict[int, int] = {}
-    const = 1
-    for (d, m), mult in mu.items:
-        const *= d**mult * math.factorial(mult)
-        if m == 1:
-            exps[d] = exps.get(d, 0) + mult
-        else:
-            exps[d] = exps.get(d, 0) + 2 * mult
-            qpow += d * (2 * m - 3) * mult
-    return qpow, tuple(sorted(exps.items())), const
-
-
 def _rf_sum(terms: list[RationalFunction]) -> RationalFunction:
     """Balanced pairwise summation, keeping intermediate reductions small."""
     if not terms:
@@ -220,18 +202,18 @@ def class_sum(n: int) -> RationalFunction:
     Not cached and not used by :func:`b_coefficient`; it is the independent
     reference against which the recurrence-built census is checked.
     """
-    by_shape: dict[tuple, Fraction] = {}
+    # N_mu is its content times a primitive q^e prod (q^d - 1)^(e_d), which
+    # many labels share: add the 1/content of each shape first.  Summing
+    # the shapes in order of their coefficients, top one first, keeps like
+    # denominators adjacent; the order the labels come in is about 10 %
+    # slower at n <= 12.
+    by_shape: dict[IntPolynomial, Fraction] = {}
     for mu in enumerate_phi(n):
-        qpow, exps, const = _denominator_shape(mu)
-        key = (qpow, exps)
-        by_shape[key] = by_shape.get(key, Fraction(0)) + Fraction(1, const)
-    terms = []
-    for (qpow, exps), scalar in sorted(by_shape.items()):
-        den = ONE_POLY.shift_up(qpow).scale(scalar.denominator)
-        for d, e in exps:
-            qd_minus_1 = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
-            den = den * qd_minus_1**e
-        terms.append(make_rf(IntPolynomial.const(scalar.numerator), den))
+        order = normalizer_order(mu)
+        shape = order.primitive()
+        by_shape[shape] = by_shape.get(shape, Fraction(0)) + Fraction(1, order.content())
+    terms = [make_rf(IntPolynomial.const(scalar.numerator), shape.scale(scalar.denominator))
+             for shape, scalar in sorted(by_shape.items(), key=lambda item: item[0].coeffs[::-1])]
     return _rf_sum(terms)
 
 
@@ -347,14 +329,15 @@ def omega_closed(n: int, q: int) -> int:
 
     Only the two regimes with a closed formula are supported: q > n (the
     subgroup count itself) and q = n > 2 (subgroup count minus the correction
-    for the split torus, |GL_q(q)| / ((q-1)^q * q!)).  Anything else raises,
-    deliberately: a bound is not a value.
+    for the split torus mu = {(1, 1): q}, |GL_q(q)| / N_mu(q)).  Anything
+    else raises, deliberately: a bound is not a value.
     """
     check_prime_power(q)
     if q > n:
         value = a_polynomial(n).eval(q)
     elif q == n and q > 2:
-        correction = Fraction(gl_order(q).eval(q), (q - 1) ** q * math.factorial(q))
+        split_torus = MuFunction((((1, 1), q),))
+        correction = Fraction(gl_order(q).eval(q), normalizer_order(split_torus).eval(q))
         value = a_polynomial(n).eval(q) - correction
     else:
         raise UnsupportedRegimeError(

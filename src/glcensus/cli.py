@@ -74,7 +74,7 @@ def cmd_census(args) -> int:
         print(f"  subgroup count        : {a_poly}")
         if args.q is not None:
             sc = payload["subgroup_count"]
-            print(f"  at q = {args.q}           : {sc['value']} ({sc['regime']})")
+            print(f"  {f'at q = {args.q}':<21} : {sc['value']} ({sc['regime']})")
             om = payload["omega"]
             if om["value"] is not None:
                 print(f"  omega                 : {om['value']} ({om['regime']})")

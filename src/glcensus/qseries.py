@@ -34,7 +34,6 @@ from glcensus.exactalg import (
     ONE_POLY,
     RF_ONE,
     RF_ZERO,
-    IntPolynomial,
     PoleError,
     RationalFunction,
     make_rf,
@@ -199,14 +198,9 @@ def build_f1(order: int, form: str, u_order: int = DEFAULT_U_ORDER) -> PowerSeri
     if form == FORM_EXP:
         return _exp_form(order, range(1, 2), "|GL| f1")
     if form == FORM_SUM:
-        entries = {}
-        for d in range(0, order + 1):
-            num = ONE_POLY.shift_up(d * (d - 1) // 2)
-            den = ONE_POLY
-            for i in range(1, d + 1):
-                den = den * IntPolynomial((-1,) + (0,) * (i - 1) + (1,))
-            entries[d] = make_rf(num, den)
-        return ps_from_dict(order, entries)
+        # q^(d(d-1)/2) / prod_i (q^i - 1) = q^(d(d-1)) / |GL_d|
+        return ps_from_dict(order, {d: make_rf(ONE_POLY.shift_up(d * (d - 1)), gl_order(d))
+                                    for d in range(order + 1)})
     if form == FORM_PRODUCT:
         return _product_form(order, u_order, [(1, s, 1) for s in range(1, u_order + 1)])
     raise ValueError(f"unknown form {form!r} for f1 (use exp, sum or product)")

@@ -134,6 +134,25 @@ def test_normalizer_order_single_blocks():
         P([-1, 1]) * P([-2, 0, 2]) * P([-2, 0, 2]) * P([2])
 
 
+def reference_normalizer_value(mu, q0):
+    """N_mu(q0) in integers: prod (d (q0^d - 1) [m >= 2: (q0^d - 1) q0^(d(2m-3))])^mult mult!."""
+    value = 1
+    for (d, m), mult in mu.items:
+        block = d * (q0**d - 1)
+        if m >= 2:
+            block *= (q0**d - 1) * q0 ** (d * (2 * m - 3))
+        value *= block**mult * math.factorial(mult)
+    return value
+
+
+def test_normalizer_order_matches_the_integer_reference():
+    for n in range(11):
+        for mu in enumerate_phi(n):
+            order = normalizer_order(mu)
+            for q0 in (2, 3, 4, 5):
+                assert order.eval(q0) == reference_normalizer_value(mu, q0), f"{mu} at q={q0}"
+
+
 def test_b2_three_term_sum():
     expected = (
         rf([1], [2, -4, 2])  # 1 / (2 (q-1)^2)
@@ -294,9 +313,14 @@ def test_omega_closed_values():
     assert omega_closed(2, 5) == 31
     assert omega_closed(3, 4) == 6091  # Table-1 n=3 polynomial at q=4
     assert omega_closed(3, 3) == 1301 - 11232 // 48 == 1067
-    assert omega_closed(4, 4) == a_polynomial(4).eval(4) - (
-        gl_order(4).eval(4) // (3**4 * math.factorial(4))
-    )
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_omega_closed_at_q_equal_n_subtracts_the_split_torus_orbit(q):
+    # a_q(q) - |GL_q(q)| / ((q - 1)^q q!)
+    split_torus_orbit = Fraction(gl_order(q).eval(q), (q - 1) ** q * math.factorial(q))
+    expected = a_polynomial(q).eval(q) - split_torus_orbit
+    assert omega_closed(q, q) == expected
 
 
 def test_omega_closed_rejected_regimes():

@@ -30,6 +30,14 @@ def test_census_json_payload(capsys):
     }
 
 
+@pytest.mark.parametrize("q", [2, 27, 101])
+def test_census_table_colons_line_up(capsys, q):
+    code, out, _ = run_cli(capsys, "census", "--n", "2", "--q", str(q))
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 5
+    assert {row.index(":") for row in rows} == {len("  abelian-cover classes ")}
+
+
 def test_series_expand_fbar(capsys):
     code, out, _ = run_cli(capsys, "series", "expand", "--which", "fbar", "--order", "3")
     assert code == 0

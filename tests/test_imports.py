@@ -54,10 +54,15 @@ def test_unused_import_check_finds_and_exempts():
     assert unused_imports(source) == ["F (line 4)", "math (line 2)"]
 
 
-def read_names(source: str) -> set[str]:
-    """Every name a source reads: as a name, an attribute, an imported name,
-    or a string constant that is an identifier (how ``getattr`` and
-    perfbench's tracer name what they read)."""
+# the one reader that names definitions by string, in its SITES table
+TRACER = "perfbench/tracer.py"
+
+
+def read_names(source: str, strings: bool = False) -> set[str]:
+    """Every name a source reads: as a name, an attribute or an imported
+    name, and, when ``strings`` is set, as a string constant that is an
+    identifier.  Only :data:`TRACER` reads by string; elsewhere such a
+    constant is a dict key or a message, not a read."""
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -66,7 +71,8 @@ def read_names(source: str) -> set[str]:
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
             read.add(node.value)
     return read
 
@@ -77,7 +83,7 @@ def unread_definitions(sources: dict[str, str], readers: dict[str, str], private
     underscore) or public as ``private`` says, and whose name no source in
     ``readers`` reads.  Dunders are exempt.  A definition only tests read is
     reported: the package should not carry code for its tests."""
-    read = set().union(*map(read_names, readers.values()))
+    read = set().union(*(read_names(source, label == TRACER) for label, source in readers.items()))
     defined = []
     for label, source in sources.items():
         for node in ast.parse(source).body:
@@ -134,7 +140,11 @@ def test_unread_public_check_finds_and_exempts():
             "    def traced(self): pass\n"
             "    def read(self): pass\n"
             "def main(): return used(), Box().read()\n"
+            "def keyed(): pass\n"
         ),
     }
-    readers = {**sources, "perfbench/tracer.py": "SITES = [(Box, 'traced')]\nfrom a import main\n"}
-    assert unread_definitions(sources, readers, private=False) == ["orphan (a.py:2)", "width (a.py:8)"]
+    # a package reader that names keyed only as a dict key does not read it
+    readers = {**sources, TRACER: "SITES = [(Box, 'traced')]\nfrom a import main\n",
+               "cli.py": "payload = {'keyed': 1}\n"}
+    assert unread_definitions(sources, readers, private=False) == [
+        "keyed (a.py:12)", "orphan (a.py:2)", "width (a.py:8)"]

@@ -77,6 +77,16 @@ def test_f1_coefficients():
     assert f1[1] == rf([1], [-1, 1])  # 1/(q-1)
 
 
+def test_f1_sum_form_matches_the_binomial_product():
+    # t^d coefficient q^(d(d-1)/2) / prod_{i=1..d} (q^i - 1), the product built term by term
+    f1 = build_f1(20, FORM_SUM)
+    for d in range(21):
+        den = ONE_POLY
+        for i in range(1, d + 1):
+            den = den * IntPolynomial((-1,) + (0,) * (i - 1) + (1,))
+        assert f1[d] == make_rf(ONE_POLY.shift_up(d * (d - 1) // 2), den), f"d={d}"
+
+
 def test_f1_exp_equals_sum():
     assert build_f1(12, FORM_EXP).coeffs == build_f1(12, FORM_SUM).coeffs
 
