@@ -202,11 +202,10 @@ def class_sum(n: int) -> RationalFunction:
     Not cached and not used by :func:`b_coefficient`; it is the independent
     reference against which the recurrence-built census is checked.
     """
-    # N_mu is its content times a primitive q^e prod (q^d - 1)^(e_d), which
-    # many labels share: add the 1/content of each shape first.  Summing
-    # the shapes in order of their coefficients, top one first, keeps like
-    # denominators adjacent; the order the labels come in is about 10 %
-    # slower at n <= 12.
+    # N_mu is its content times a primitive q^e prod (q^d - 1)^(e_d): labels
+    # of one shape add their 1/content first.  Summing the shapes in order
+    # of their coefficients, top one first, keeps like denominators
+    # adjacent; the order the labels come in is about 10 % slower.
     by_shape: dict[IntPolynomial, Fraction] = {}
     for mu in enumerate_phi(n):
         order = normalizer_order(mu)
