@@ -15,10 +15,18 @@ gives the end-to-end metrics.  The first ``TRACED_SEEDS`` seeds also get a
 ``--trace 1`` run per side and workload, which gives the per-layer metrics.
 The output has one entry per side, workload and metric, with the median and
 quartiles over the runs, the run count, the values in run order, the side's
-git sha and ``nproc``.  With two sides it also counts, per workload and
-metric, the seeds on which the second side read better than the first (ties
-count for neither), using the direction ``BENCHMARK.json`` gives for the
-metric.
+git sha and ``nproc``.  With two sides it also compares them per workload
+and metric, in the direction ``BENCHMARK.json`` gives for the metric: the
+seeds on which the second side read better or worse than the first (ties
+count for neither), the gap between the medians, the first side's quartile
+spread, whether a gain of the second side may be claimed (better in at
+least nine tenths of the pairs, and a median gap wider than that spread),
+and, for the end-to-end metrics, whether the second median stays within the
+metric's bound and whether the comparison is unresolved.  A bound is a
+fraction of the first side's median: the second median may read worse by at
+most that much.  A comparison is unresolved when the first side's own spread
+is wider than the bound, unless every run of the second side reads better
+than every run of the first.
 
 The file is written in any case.  The exit status is 1 when any run reported
 ``correct: false``, and each such run is named on stderr by side, workload,
@@ -83,6 +91,28 @@ def better_counts(first: list[float], second: list[float], better: str) -> dict:
             "second_worse": sum(d < 0 for d in diffs)}
 
 
+def compare(first: list[float], second: list[float], better: str,
+            bound: float | None = None) -> dict:
+    """The pair counts and the verdicts of one metric, as the module
+    docstring defines them; the median gap is second minus first, and the
+    bound verdicts are None for a metric without a bound."""
+    counts = better_counts(first, second, better)
+    a, b = summarize(first), summarize(second)
+    sign = 1 if better == "lower" else -1
+    gain = sign * (a["median"] - b["median"])  # positive when the second median reads better
+    spread = a["q3"] - a["q1"]
+    within = unresolved = None
+    if bound is not None:
+        allowed = bound * abs(a["median"])
+        within = -gain <= allowed
+        every_run_better = (max(second) < min(first) if better == "lower"
+                            else min(second) > max(first))
+        unresolved = spread > allowed and not every_run_better
+    return {**counts, "median_gap": b["median"] - a["median"], "first_spread": spread,
+            "claim_holds": 10 * counts["second_better"] >= 9 * counts["pairs"] and gain > spread,
+            "within_bound": within, "unresolved": unresolved}
+
+
 def incorrect_runs(log: list[dict]) -> list[str]:
     """The runs of the log that reported ``correct: false``, one line each."""
     return [f"{r['side']} {r['workload']} seed={r['seed']} trace={r['trace']}"
@@ -93,6 +123,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -150,8 +181,8 @@ def main() -> int:
         first, second = names
         report["comparisons"] = [
             {"workload": workload, "metric": metric, "first": first, "second": second,
-             **better_counts(values[first, workload, metric], values[second, workload, metric],
-                             directions[metric])}
+             **compare(values[first, workload, metric], values[second, workload, metric],
+                       directions[metric], bounds.get(metric))}
             for (name, workload, metric) in values if name == first and metric in directions
         ]
     args.out.write_text(json.dumps(report, indent=1) + "\n")

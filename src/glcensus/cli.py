@@ -236,6 +236,7 @@ def cmd_clique(args) -> int:
         "seed_size": seed_size,
         "upper_bound": result.upper_bound_used,
         "steps": result.steps,
+        "classes": result.classes,
         "seconds": round(result.seconds, 3),
     })
     return 0 if result.optimal else 1

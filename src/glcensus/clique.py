@@ -1,52 +1,48 @@
 """Non-commuting graphs of small GL_n(q) and exact maximum cliques.
 
-The graph has one vertex per non-central group element, with an edge exactly
-when the two elements do not commute; its clique number equals the largest
-pairwise non-commuting subset of the group (central elements never extend a
-clique of size two or more, and the one-vertex case is the abelian group,
-where the answer is 1).  Both the graph and the seed check read one table,
-``oracle.commuting_table``, over the lifted group elements.  It takes each
-element X as its commutator operator K_X = X (x) I - I (x) X^T, for which
-K_X vec(S) = vec(XS - SX) in row-major vec, so X commutes with S exactly when
-K_X vec(S) is 0 mod p; a block of operators meets all of the vec(S) in one
-exact floating-point product of residues.  The adjacency is the table's
-negation, packed into one bitset per row, and the seed is pairwise
-non-commuting when the table is false off the diagonal.
+The graph has one vertex per non-central element of GL_n(q) and an edge
+between two that do not commute; its clique number is the largest pairwise
+non-commuting subset of the group (an abelian group answers 1).
 
-The solver is a branch-and-bound over bitset adjacency rows with greedy
-colouring bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et
-al. 2011), run as one loop over an explicit stack, so no graph is too deep
-for it; the time and node limits of the request's one ``oracle.Budget`` are
-checked at every node.  It searches the twin
-quotient: vertices with equal adjacency rows form one class, and the classes
-are the quotient's vertices.  x and xz have equal rows for every scalar z,
-and so do any two elements with the same centralizer, so GL_2(7)'s 2010
-vertices fall into 57 classes.
+It is built on classes, never on element pairs.  Elements with equal
+``GLGroup.algebra_keys`` generate one algebra F_q[M], and C(M) is the
+centralizer of that algebra, so they commute with the same elements: they
+are twins.  One ``oracle.commuting_table`` over a representative per class
+gives every edge in k^2 pair tests (GL_2(7): 2010 vertices, 57 classes), and
+all members of a class share one packed row.  The vertices are in degeneracy
+order: the lowest vertex of least degree is removed first, and the removal
+order is reversed.  Twins are never adjacent, so the living members of a
+class share one degree, and removing one leaves its own class's degree
+unchanged.  So the class of least (degree, lowest living member) gives the
+element removed next, step for step as on the elements.
+
+The solver is a branch-and-bound over bitset rows with greedy colouring
+bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et al. 2011),
+one loop over an explicit stack whose frames hold machine-integer arrays,
+with the request's ``oracle.Budget`` checked at every node.  It searches
+the twin quotient, one vertex per class of equal rows.
 
 Lemma: a loopless graph G and its twin quotient G/~ have the same clique
-number.  Proof: bit v of row v is 0, so if u ~ v then bit v of row u is 0 as
-well: twins are never adjacent.  G is symmetric, so twins also have equal
-columns, and whether a member of one class is adjacent to a member of
-another does not depend on the members chosen; that is the adjacency of
-G/~.  A clique of G therefore meets each class at most once and maps onto a
-clique of G/~ of the same size, and any one member from each class of a
-clique of G/~ is a clique of G: twins are interchangeable in any clique.  So
-omega(G) = omega(G/~), and every colour bound on the quotient bounds G.
+number.  Proof: bit v of row v is 0, so if u ~ v then bit v of row u is 0:
+twins are never adjacent.  G is symmetric, so twins have equal columns too,
+and adjacency between two classes does not depend on the members chosen.
+A clique of G meets each class at most once and maps onto a clique of G/~
+of the same size, and one member from each class of a clique of G/~ is a
+clique of G.  So omega(G) = omega(G/~), and every colour bound on the
+quotient bounds G.
 
-The search is seeded with the
-pairwise non-commuting set built from one cyclic matrix per distinct
-cyclic-matrix centralizer.  Whenever that seed already meets the covering
-upper bound (one count per covering abelian subgroup), no search happens at
-all: lower bound equals upper bound.  A finished search, or a met bound, is
-the only way `optimal` is ever reported True; exhausting the time or step
-budget returns the best clique found with `optimal=False`, never a wrong
-certificate.
+The search is seeded with one cyclic matrix per distinct cyclic-matrix
+centralizer, a pairwise non-commuting set, and does not run when the seed
+meets the covering upper bound (one count per covering abelian subgroup).
+Only a finished search or a met bound reports `optimal`; an exhausted
+budget returns the best clique found with `optimal=False`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +53,7 @@ from glcensus.oracle import (
     DEFAULT_BUDGET,
     Budget,
     GLGroup,
+    _slices,
     check_scan_budget,
     commuting_table,
     count_cyclic_centralizers,
@@ -71,7 +68,7 @@ class NonComGraph:
     ``vertices[i]`` is the group-element index of vertex i; vertices are in
     degeneracy order (smallest degree removed first), which the solver
     exploits.  ``adjacency[i]`` has bit j set when vertices i and j do not
-    commute.
+    commute; a built graph gives all members of a class one row object.
     """
 
     n: int
@@ -104,6 +101,7 @@ class CliqueResult:
     upper_bound_used: int | None
     steps: int
     seconds: float
+    classes: int | None = None  # vertices of the searched quotient; None if no search ran
 
 
 class SeedVerificationError(RuntimeError):
@@ -114,34 +112,44 @@ class SeedVerificationError(RuntimeError):
 
 
 def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
-    """Exact non-commuting graph of GL_n(q), vertices in degeneracy order."""
+    """Exact non-commuting graph of GL_n(q), vertices in degeneracy order,
+    built on the classes of equal algebra keys (see the module docstring)."""
     check_scan_budget(n, q, f"non-commuting graph of GL_{n}({q})", budget=budget)
     group = gl_group(n, q, budget)
-    central = set(group.center_indices())
-    verts = [i for i in range(group.order) if i not in central]
-    lifted = group.lifted[verts]
-    adj = ~commuting_table(lifted, lifted, group.field.p)
-    order = _degeneracy_order(adj)
-    verts_ordered = tuple(verts[k] for k in order)
-    rows = _bits_from_bools(adj[np.ix_(order, order)])
-    return NonComGraph(n=n, q=q, vertices=verts_ordered, adjacency=rows,
-                       identity_index=group.center_indices()[0])
+    centre = group.center_indices()
+    verts = np.delete(np.arange(group.order), centre)
+    _, first, label = np.unique(group.algebra_keys()[verts], axis=0, return_index=True,
+                                return_inverse=True)
+    reps = group.lifted[verts[first]]
+    adj = ~commuting_table(reps, reps, group.field.p)
+    order = _degeneracy_order(adj, label.reshape(-1))
+    label = label.reshape(-1)[order]
+    rows = [row for s in _slices(len(adj), len(label)) for row in _bits_from_bools(adj[s][:, label])]
+    return NonComGraph(n=n, q=q, vertices=tuple(verts[order].tolist()),
+                       adjacency=tuple(rows[c] for c in label.tolist()), identity_index=centre[0])
 
 
-def _degeneracy_order(adj: np.ndarray) -> list[int]:
-    """Repeatedly remove a smallest-degree vertex; removal order reversed
-    puts small degrees last, ties broken by vertex number for determinism."""
-    V = adj.shape[0]
-    alive = np.ones(V, dtype=bool)
-    work = adj.sum(axis=1).astype(np.int64)
-    removal: list[int] = []
-    big = np.iinfo(np.int64).max
+def _degeneracy_order(adj: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The vertices in degeneracy order, found on their classes (vertex v in
+    class label[v], ``adj`` the classes' adjacency): each step removes the
+    lowest living member of the class of least key, degree * V + that
+    member; a class with none left keeps a key above every living one."""
+    V = len(label)
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label, minlength=len(adj))
+    end = np.cumsum(sizes)
+    nxt = (end - sizes).tolist()  # per class, its lowest living member's place in members
+    key = np.einsum("cd,d->c", adj, sizes) * V + members[nxt]
+    members, end = members.tolist(), end.tolist()
+    removal = []
     for _ in range(V):
-        v = int(np.argmin(np.where(alive, work, big)))
+        c = int(key.argmin())
+        v = members[nxt[c]]
         removal.append(v)
-        alive[v] = False
-        work = work - adj[v]
-    return removal[::-1]
+        nxt[c] += 1
+        np.subtract(key, V, out=key, where=adj[c])
+        key[c] = key[c] - v + members[nxt[c]] if nxt[c] < end[c] else np.iinfo(np.int64).max
+    return np.array(removal[::-1], dtype=np.int64)
 
 
 def _bits_from_bools(rows: np.ndarray) -> tuple[int, ...]:
@@ -154,13 +162,10 @@ def _bits_from_bools(rows: np.ndarray) -> tuple[int, ...]:
 def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]:
     """One cyclic matrix per distinct cyclic-matrix centralizer; the result
     is pairwise non-commuting, and that is re-verified before returning."""
-    count, reps = count_cyclic_centralizers(n, q, budget)
-    group = gl_group(n, q, budget)
-    if not _pairwise_noncommuting(group, reps):
+    reps = count_cyclic_centralizers(n, q, budget)[1]
+    if not _pairwise_noncommuting(gl_group(n, q, budget), reps):
         raise SeedVerificationError(
-            f"seed for GL_{n}({q}) contains a commuting pair; centralizer census is inconsistent"
-        )
-    assert len(reps) == count
+            f"seed for GL_{n}({q}) contains a commuting pair; centralizer census is inconsistent")
     return reps
 
 
@@ -182,27 +187,22 @@ def covering_upper_bound(n: int, q: int) -> int:
     if q == n and q > 2:
         return omega_closed(n, q)
     raise UnsupportedRegimeError(
-        f"no covering count available for GL_{n}({q}) (needs q > n, or q = n > 2)"
-    )
+        f"no covering count available for GL_{n}({q}) (needs q > n, or q = n > 2)")
 
 
 def verify_clique(graph: NonComGraph, witness) -> bool:
-    """Pairwise adjacency check, independent of any solver state."""
+    """Pairwise adjacency check, independent of any solver state: the
+    witness is distinct vertices, each row holding all the others."""
     try:
-        positions = [graph.position_of(e) for e in witness]
+        positions = {graph.position_of(e) for e in witness}
     except ValueError:
         return False
-    if len(set(positions)) != len(positions):
-        return False
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            i, j = positions[a], positions[b]
-            if not (graph.adjacency[i] >> j) & 1:
-                return False
-    return True
+    mask = sum(1 << i for i in positions)
+    return len(positions) == len(witness) and all(
+        (graph.adjacency[i] | 1 << i) & mask == mask for i in positions)
 
 
-def _colour_order(P: int, adjacency) -> tuple[list[int], list[int]]:
+def _colour_order(P: int, adjacency) -> tuple[array, array]:
     """Greedy sequential colouring of the candidate set P: the vertices in
     colour order, each with its colour number, an upper bound on the size
     of any clique among it and the vertices before it."""
@@ -215,26 +215,29 @@ def _colour_order(P: int, adjacency) -> tuple[list[int], list[int]]:
         while cand:
             v = (cand & -cand).bit_length() - 1
             bit = 1 << v
-            cand &= ~adjacency[v] & ~bit
-            P &= ~bit
+            cand ^= bit
+            cand -= cand & adjacency[v]
+            P ^= bit
             order.append(v)
             bounds.append(colour)
-    return order, bounds
+    return array("i", order), array("i", bounds)
 
 
 def _twin_quotient(adjacency) -> tuple[list[int], list[int], tuple[int, ...]]:
     """The classes of equal adjacency rows, numbered in order of first
     occurrence: each vertex's class, each class's first vertex (its
     representative), and the quotient's rows, which are the representatives'
-    rows read at the representatives' columns."""
+    rows read at the representatives' columns, k bits per row."""
     classes: dict[int, int] = {}
     label = [classes.setdefault(row, len(classes)) for row in adjacency]
-    reps = np.unique(label, return_index=True)[1].tolist()
+    reps = np.unique(label, return_index=True)[1]
     width = (len(adjacency) + 7) // 8
-    packed = np.frombuffer(b"".join(adjacency[r].to_bytes(width, "little") for r in reps),
-                           dtype=np.uint8).reshape(len(reps), width)
-    rows = np.unpackbits(packed, axis=1, count=len(adjacency), bitorder="little")
-    return label, reps, _bits_from_bools(rows[:, reps])
+    byte, shift = reps // 8, (reps % 8).astype(np.uint8)
+    rows = []
+    for r in reps.tolist():
+        bits = np.frombuffer(adjacency[r].to_bytes(width, "little"), dtype=np.uint8)[byte] >> shift & 1
+        rows.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    return label, reps.tolist(), tuple(rows)
 
 
 def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
@@ -246,21 +249,17 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
     the result is certified without branching.  A finished search certifies
     optimality; running out of budget returns the incumbent, unmarked.
 
-    The search runs on the twin quotient of the graph (see the module
-    docstring): the graph has no loops, so vertices with equal rows are
-    pairwise non-adjacent and interchangeable in any clique, and the
-    quotient has the same clique number.  The seed maps in by class; the
-    witness maps out with each class reporting its seed member if it holds
-    one, else its first vertex, and is verified on the full graph.  A graph
-    without twins is its own quotient.  ``steps`` counts quotient nodes.
+    The search runs on the twin quotient (see the module docstring), whose
+    vertex count is ``classes``.  The seed maps in by class; the witness
+    maps out with each class reporting its seed member if it holds one, else
+    its first vertex, and is verified on the full graph.
 
     The search is one loop over an explicit stack, so its depth is bounded
-    only by memory, never by the interpreter's recursion limit.  Each frame
-    is an open node [colour order, colour bounds, next position, candidate
-    set]; its branches are taken from the highest colour down, and the node
-    closes when the next bound cannot beat the incumbent.  Opening a node is
-    one step, and the budget's seconds and nodes are checked there, at every
-    node.
+    only by memory, never by the recursion limit.  Each frame is an open
+    node [colour order, colour bounds, next position, candidate set]; its
+    branches are taken from the highest colour down, and it closes when the
+    next bound cannot beat the incumbent.  Opening a node is one step, and
+    the budget's seconds and nodes are checked there.
     """
     budget = budget if budget is not None else DEFAULT_BUDGET
     start = time.monotonic()
@@ -270,14 +269,12 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
     if graph.vertex_count == 0:
         # abelian group: a single element is vacuously pairwise non-commuting
         return CliqueResult(size=1, witness=(graph.identity_index,), optimal=True,
-                            upper_bound_used=upper, steps=0,
-                            seconds=time.monotonic() - start)
+                            upper_bound_used=upper, steps=0, seconds=time.monotonic() - start)
 
     best = [graph.position_of(e) for e in seed]
     if upper is not None and len(best) == upper:
         return CliqueResult(size=len(best), witness=tuple(sorted(seed)), optimal=True,
-                            upper_bound_used=upper, steps=0,
-                            seconds=time.monotonic() - start)
+                            upper_bound_used=upper, steps=0, seconds=time.monotonic() - start)
 
     label, reps, adjacency = _twin_quotient(graph.adjacency)
     report = [graph.vertices[r] for r in reps]
@@ -324,7 +321,7 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
         raise AssertionError("solver produced a non-clique witness")
     return CliqueResult(size=len(best), witness=witness_elements,
                         optimal=optimal, upper_bound_used=upper, steps=steps,
-                        seconds=time.monotonic() - start)
+                        seconds=time.monotonic() - start, classes=len(reps))
 
 
 def compute_omega(n: int, q: int, budget: Budget | None = None) -> tuple[CliqueResult, int]:
@@ -342,12 +339,9 @@ def compute_omega(n: int, q: int, budget: Budget | None = None) -> tuple[CliqueR
     except UnsupportedRegimeError:
         upper = None
     if upper is not None and len(seed) == upper:
-        return (
-            CliqueResult(size=len(seed), witness=tuple(sorted(seed)), optimal=True,
-                         upper_bound_used=upper, steps=0,
-                         seconds=time.monotonic() - start),
-            len(seed),
-        )
+        return (CliqueResult(size=len(seed), witness=tuple(sorted(seed)), optimal=True,
+                             upper_bound_used=upper, steps=0, seconds=time.monotonic() - start),
+                len(seed))
     graph = build_graph(n, q, budget)
     result = max_clique(graph, seed, upper, budget)
     return dataclasses.replace(result, seconds=time.monotonic() - start), len(seed)

@@ -25,15 +25,13 @@ one product each, with partial sums at most d (p-1)^2.
 One kernel, ``_rref``, does every elimination, over a whole stack at once:
 GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
 when the lifts of t^j M^k (j < e, k < n), which span F_q[M] over F_p, have
-rank ne; and since C(M) = F_q[M]^x for cyclic M, the census keys each cyclic
-M on the reduced echelon form of that span.  A matrix leaves the kernel's
-working stack as soon as its rank reaches its row count, which it is exact
-to do since no later column then has a pivot row left to change it; a
-cyclic span mostly does so within its first ne columns of n^2 e.  The
-working stack is the narrowest signed integer dtype holding (p - 1)^2 + p.
-``normalizer_of_set`` first drops every g with g c0 outside Cg for one
-non-central member c0 of C, a necessary condition for gC = Cg, and compares
-the sorted codes of gC and Cg only for the rest.  The polynomial checks run
+rank ne.  The reduced echelon form of that span keys M by its algebra: the
+census keys cyclic M on it, as C(M) = F_q[M]^x for them, and the
+non-commuting graph keys every non-central M, as C(M) = C(F_q[M]).  A
+matrix leaves the kernel's working stack, of the narrowest signed dtype
+holding (p - 1)^2 + p, as soon as its rank reaches its row count: no later
+column then has a pivot row left to change it, and a cyclic span mostly
+gets there within its first ne columns of n^2 e.  The polynomial checks run
 on lifts too: irreducibility is Rabin's test on companion matrices, and the
 block identity "J_m(f) has minimal polynomial f^m" is read off the powers of
 f(J).  The ``*_task`` functions at the end are the checks both the CLI and
@@ -414,7 +412,8 @@ class GLGroup:
         """Whether each element M is cyclic: the F_p-span of the t^j M^k
         (j < e, k < n), which is F_q[M] of dimension e deg(min poly of M), has
         rank ne.  Their digits are columns j of the blocks of the lifted M^k.
-        The row codes of the span's echelon form are kept as census keys."""
+        The span's echelon form is kept as ``algebra_keys``, which the census
+        and the non-commuting graph read."""
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
@@ -429,7 +428,14 @@ class GLGroup:
                 keys.append(rref @ self._weights)
             self._cyclic = tuple(np.concatenate(flags).tolist())
             self._keys = np.concatenate(keys)
+            self._keys.flags.writeable = False
         return self._cyclic
+
+    def algebra_keys(self) -> np.ndarray:
+        """One read-only row per element M, the row codes of the echelon form
+        of F_q[M] that ``cyclic_flags`` forms: equal rows, equal algebras."""
+        self.cyclic_flags()
+        return self._keys
 
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
         """Indices of every group element commuting with M (full scan, with
@@ -439,16 +445,13 @@ class GLGroup:
 
     def cyclic_centralizer_census(self) -> tuple[int, ...]:
         """One representative index per distinct centralizer of a cyclic
-        element, ascending: the least cyclic index with each census key.
-
-        C(M) = F_q[M]^x for cyclic M, so equal keys (equal algebras) are
-        exactly equal centralizers.  Cross-check: every cyclic element
+        element, ascending: the least cyclic index with each algebra key, as
+        C(M) = F_q[M]^x for cyclic M.  Cross-check: every cyclic element
         commutes with the representative of its key.  The result is kept,
-        so the keys are sorted and cross-checked once per group.
-        """
+        so the keys are sorted and cross-checked once per group."""
         if self._census is None:
             cyclic = np.flatnonzero(self.cyclic_flags())
-            _, first, key = np.unique(self._keys[cyclic], axis=0, return_index=True,
+            _, first, key = np.unique(self.algebra_keys()[cyclic], axis=0, return_index=True,
                                       return_inverse=True)
             owner = cyclic[first][key.reshape(-1)]
             p = self.field.p

@@ -43,3 +43,45 @@ def test_incorrect_runs_name_side_workload_seed_and_trace():
         "change census-deep seed=1 trace=1", "parent oracle-groups seed=7 trace=0"]
     assert bench.incorrect_runs(log[:1]) == []
     assert bench.incorrect_runs([]) == []
+
+
+def test_compare_claims_a_gain_only_past_nine_tenths_and_the_spread():
+    first = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    faster = [x - 1.0 for x in first]
+    result = bench.compare(first, faster, "lower", 0.25)
+    assert result["pairs"] == 10 and result["second_better"] == 10
+    assert abs(result["median_gap"] + 1.0) < 1e-9
+    assert abs(result["first_spread"] - 0.9) < 1e-9
+    assert result["claim_holds"] and result["within_bound"] and not result["unresolved"]
+    # better in every pair, but by less than the first side's spread
+    slight = [x - 0.5 for x in first]
+    assert not bench.compare(first, slight, "lower", 0.25)["claim_holds"]
+    # a gap past the spread, but better in only 8 of 10 pairs
+    mixed = faster[:8] + [x + 1.0 for x in first[8:]]
+    result = bench.compare(first, mixed, "lower", 0.25)
+    assert result["second_better"] == 8 and not result["claim_holds"]
+    # 9 of 10 is enough
+    assert bench.compare(first, faster[:9] + first[9:], "lower")["claim_holds"]
+
+
+def test_compare_reads_the_bound_as_a_fraction_of_the_first_median():
+    first = [2.0] * 10
+    assert bench.compare(first, [2.15] * 10, "lower", 0.1)["within_bound"]
+    assert not bench.compare(first, [2.3] * 10, "lower", 0.1)["within_bound"]
+    # for a higher-is-better metric a fall is the regression
+    assert bench.compare([1.0] * 10, [0.995] * 10, "higher", 0.01)["within_bound"]
+    assert not bench.compare([1.0] * 10, [0.98] * 10, "higher", 0.01)["within_bound"]
+    assert bench.compare([1.0] * 10, [1.5] * 10, "higher", 0.01)["claim_holds"]
+    # per-layer metrics have no bound
+    result = bench.compare(first, [2.3] * 10, "lower")
+    assert result["within_bound"] is None and result["unresolved"] is None
+
+
+def test_compare_is_unresolved_when_the_spread_passes_the_bound():
+    first = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+    # spread 1.25 against an allowed 0.25 * 2.0 = 0.5
+    assert bench.compare(first, first, "lower", 0.25)["unresolved"]
+    # unless every run of the second side reads better than every first run
+    assert not bench.compare(first, [0.5] * 10, "lower", 0.25)["unresolved"]
+    assert not bench.compare(first, [3.5] * 10, "higher", 0.25)["unresolved"]
+    assert not bench.compare([2.0] * 10, [2.0] * 10, "lower", 0.25)["unresolved"]

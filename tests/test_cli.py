@@ -240,3 +240,13 @@ def test_python_m_glcensus(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["a_polynomial"] == ["1", "1", "1"]
+
+
+def test_clique_json_reports_the_searched_classes(capsys):
+    # GL_2(2) is searched on its 4 classes; GL_2(3) is certified by its seed
+    for q, classes in ((2, 4), (3, None)):
+        code, out, _ = run_cli(capsys, "clique", "omega", "--n", "2", "--q", str(q), "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["classes"] == classes
+        assert set(payload) == {"n", "q", "omega", "optimal", "seed_size", "upper_bound", "steps",
+                                "classes", "seconds"}

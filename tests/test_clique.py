@@ -16,7 +16,7 @@ from glcensus.clique import (
     seed_clique,
     verify_clique,
 )
-from glcensus.oracle import Budget, BudgetError, _gl_group_cached, gl_group
+from glcensus.oracle import Budget, BudgetError, _gl_group_cached, commuting_table, gl_group
 from test_oracle import commutes, identity, matmul
 
 
@@ -24,6 +24,63 @@ def test_graph_shapes():
     assert build_graph(2, 2).vertex_count == 5  # 6 elements, trivial centre
     assert build_graph(2, 3).vertex_count == 46  # centre of order 2
     assert build_graph(2, 4).vertex_count == 177  # centre of order 3
+
+
+def reference_degeneracy_order(adj: np.ndarray) -> list[int]:
+    """The former element-level degeneracy order: repeatedly remove a
+    smallest-degree vertex, the lowest such, and reverse the removal order."""
+    V = adj.shape[0]
+    alive = np.ones(V, dtype=bool)
+    work = adj.sum(axis=1).astype(np.int64)
+    removal: list[int] = []
+    big = np.iinfo(np.int64).max
+    for _ in range(V):
+        v = int(np.argmin(np.where(alive, work, big)))
+        removal.append(v)
+        alive[v] = False
+        work = work - adj[v]
+    return removal[::-1]
+
+
+def reference_build_graph(n: int, q: int) -> NonComGraph:
+    """The former element-level build, the reference for the class build:
+    the order^2 table of every non-central pair, reordered by its own
+    degeneracy order."""
+    group = gl_group(n, q)
+    central = set(group.center_indices())
+    verts = [i for i in range(group.order) if i not in central]
+    lifted = group.lifted[verts]
+    adj = ~commuting_table(lifted, lifted, group.field.p)
+    order = reference_degeneracy_order(adj)
+    return NonComGraph(n=n, q=q, vertices=tuple(verts[k] for k in order),
+                       adjacency=_bits_from_bools(adj[np.ix_(order, order)]),
+                       identity_index=group.center_indices()[0])
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (3, 2)])
+def test_class_build_equals_the_element_build(n, q):
+    graph, expect = build_graph(n, q), reference_build_graph(n, q)
+    assert graph.vertices == expect.vertices
+    assert graph.adjacency == expect.adjacency
+    assert graph.identity_index == expect.identity_index
+
+
+def test_class_members_share_one_row_object():
+    graph = build_graph(2, 7)
+    assert len({id(row) for row in graph.adjacency}) == len(set(graph.adjacency)) == 57
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_class_degeneracy_order_equals_the_element_order(seed):
+    # random classes with random sizes, members interleaved in position:
+    # ties in degree are frequent, so the tie-break is exercised
+    rng = np.random.default_rng(seed)
+    k = 30
+    upper = np.triu(rng.random((k, k)) < 0.5, 1)
+    adj = upper | upper.T
+    label = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, 170)]))
+    expect = reference_degeneracy_order(adj[np.ix_(label, label)])
+    assert clique._degeneracy_order(adj, label).tolist() == expect
 
 
 def test_graph_identity_index_is_the_identity():
@@ -86,6 +143,8 @@ def test_verify_clique():
     # empty and singleton witnesses are vacuously cliques
     assert verify_clique(graph, ())
     assert verify_clique(graph, (graph.vertices[0],))
+    # a vertex repeated is not a set of distinct vertices
+    assert not verify_clique(graph, (graph.vertices[0],) * 2)
     # two commuting elements are not a clique: an element and its square
     group = gl_group(2, 3)
     graph3 = build_graph(2, 3)
@@ -106,6 +165,15 @@ def test_omega_gl22_exhaustive():
     assert res.optimal
     assert seed_size == 4
     assert verify_clique(build_graph(2, 2), res.witness)
+
+
+def test_result_reports_the_searched_classes():
+    assert compute_omega(2, 2)[0].classes == 4
+    assert compute_omega(3, 2)[0].classes == 78
+    assert max_clique(random_graph(60, 0.6, 4, twins=90)).classes == 60
+    # no search ran: the seed met the cover, or the group is abelian
+    assert compute_omega(2, 3)[0].classes is None
+    assert max_clique(build_graph(1, 3)).classes is None
 
 
 def test_omega_seed_meets_cover():
@@ -385,6 +453,17 @@ def test_stack_search_matches_recursive_reference(name):
         res = max_clique(graph, start, upper, budget)
         expect = recursive_max_clique(twin_quotient(graph, start), start, upper, budget)
         assert (res.size, res.steps, res.witness, res.optimal) == expect, (start, upper, budget)
+
+
+@pytest.mark.parametrize("name", ["GL_2(7)", "G(60,0.6)+90 twins"])
+def test_twin_quotient_matches_the_loop_reference(name):
+    graph = REFERENCE_GRAPHS[name]()
+    label, reps, rows = clique._twin_quotient(graph.adjacency)
+    expect = twin_quotient(graph)
+    assert rows == expect.adjacency
+    assert [graph.vertices[r] for r in reps] == list(expect.vertices)
+    assert [label[r] for r in reps] == list(range(len(reps))) and reps == sorted(reps)
+    assert all(graph.adjacency[v] == graph.adjacency[reps[c]] for v, c in enumerate(label))
 
 
 @pytest.mark.parametrize("name", ["G(120,0.5)", "G(90,0.7)", "G(200,0.3)"])

@@ -1030,3 +1030,34 @@ def test_census_runs_once_per_group(monkeypatch):
 
 def test_gl42_census_count():
     assert count_cyclic_centralizers(4, 2)[0] == 3886
+
+
+def noncentral_key_classes(group) -> np.ndarray:
+    """The class of each non-central element under equal ``algebra_keys``."""
+    noncentral = np.delete(np.arange(group.order), group.center_indices())
+    return np.unique(group.algebra_keys()[noncentral], axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 2)])
+def test_equal_algebra_keys_have_equal_commuting_rows(n, q):
+    # the keys are sound for the graph: elements with one key commute with
+    # the same elements of the whole group, scalars included
+    group = gl_group(n, q)
+    noncentral = np.delete(np.arange(group.order), group.center_indices())
+    table = commuting_table(group.lifted[noncentral], group.lifted, group.field.p)
+    label = noncentral_key_classes(group)
+    first = np.unique(label, return_index=True)[1]
+    assert (table == table[first[label]]).all()
+
+
+@pytest.mark.parametrize("n,q,classes", [(2, 2, 4), (3, 2, 78), (3, 3, 1236), (4, 2, 5447)])
+def test_algebra_key_class_counts(n, q, classes):
+    assert noncentral_key_classes(gl_group(n, q)).max() + 1 == classes
+
+
+def test_algebra_keys_are_read_only_and_cover_the_group():
+    group = gl_group(2, 3)
+    keys = group.algebra_keys()
+    assert keys is group.algebra_keys() and len(keys) == group.order
+    with pytest.raises(ValueError):
+        keys[0, 0] = 0
