@@ -18,7 +18,7 @@ element removed next, step for step as on the elements.
 
 The solver is a branch-and-bound over bitset rows with greedy colouring
 bounds (the MCS/BBMC family: Tomita et al. 2010, San Segundo et al. 2011),
-one loop over an explicit stack whose frames hold machine-integer arrays,
+one loop over an explicit stack whose frames hold int32 arrays,
 with the request's ``oracle.Budget`` checked at every node.  It searches
 the twin quotient, one vertex per class of equal rows.
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -194,15 +193,15 @@ def verify_clique(graph: NonComGraph, witness) -> bool:
     """Pairwise adjacency check, independent of any solver state: the
     witness is distinct vertices, each row holding all the others."""
     try:
-        positions = {graph.position_of(e) for e in witness}
+        positions = [graph.position_of(e) for e in witness]
     except ValueError:
         return False
-    mask = sum(1 << i for i in positions)
-    return len(positions) == len(witness) and all(
+    mask = sum(1 << i for i in set(positions))
+    return mask.bit_count() == len(positions) and all(
         (graph.adjacency[i] | 1 << i) & mask == mask for i in positions)
 
 
-def _colour_order(P: int, adjacency) -> tuple[array, array]:
+def _colour_order(P: int, adjacency) -> tuple[np.ndarray, np.ndarray]:
     """Greedy sequential colouring of the candidate set P: the vertices in
     colour order, each with its colour number, an upper bound on the size
     of any clique among it and the vertices before it."""
@@ -220,7 +219,7 @@ def _colour_order(P: int, adjacency) -> tuple[array, array]:
             P ^= bit
             order.append(v)
             bounds.append(colour)
-    return array("i", order), array("i", bounds)
+    return np.array(order, dtype=np.int32), np.array(bounds, dtype=np.int32)
 
 
 def _twin_quotient(adjacency) -> tuple[list[int], list[int], tuple[int, ...]]:
@@ -297,9 +296,9 @@ def max_clique(graph: NonComGraph, seed=(), upper: int | None = None,
             nxt = 0
         frame = stack[-1]
         order, bounds, k, P = frame
-        if k >= 0 and len(R) + bounds[k] > len(best):
-            R.append(order[k])
-            nxt = P & adjacency[order[k]]
+        if k >= 0 and len(R) + int(bounds[k]) > len(best):
+            R.append(int(order[k]))
+            nxt = P & adjacency[R[-1]]
             if nxt:
                 continue
             if len(R) > len(best):
