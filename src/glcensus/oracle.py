@@ -11,9 +11,14 @@ and array equality on d x d matrices over F_p, d = ne.  A group element is
 kept as its code (its n^2 entries as base-q digits, row-major), enumerated
 in ascending code order beside its lift.
 
-The two all-pairs scans are 2-D products of residues, run in floating point
-where every partial sum is an integer the float holds exactly: float32 below
-2^24, float64 below 2^53, and a ValueError before any product beyond that.
+Residues are stored narrow, and no product is formed in the narrow dtype: a
+group's lifts are kept in the narrowest signed dtype holding p - 1 (int8 for
+p <= 127) and widened before every product, to int64 or to an exact float.
+``Fq.lift`` returns int64, as the polynomial checks multiply its results as
+they are.  The powers in ``cyclic_flags`` and the two all-pairs scans are
+products of residues run in floating point where every partial sum is an
+integer the float holds exactly: float32 below 2^24, float64 below 2^53, and
+a ValueError before any product beyond that.
 ``commuting_table`` goes through the commutator operator: in row-major vec,
 vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a chunk of X
 against all of S is one (B d^2, d^2) @ (d^2, |S|) product of residues, whose
@@ -277,20 +282,25 @@ def _exact_dtypes(bound: int):
     return (np.float32, np.int32) if bound < 2**24 else (np.float64, np.int64)
 
 
+def _signed_dtype(bound: int):
+    """The narrowest signed integer dtype holding every integer in [0, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+
+
 def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack (B, r, c) of integer
-    matrices, and their ranks: one pass over the columns, vectorised over B.
+    matrices, as int64, and their ranks: one pass over the columns,
+    vectorised over B.
 
     A matrix leaves the working stack once its rank reaches r, its form
     written back then: no later column has a pivot candidate at or below
-    row r, so nothing would change it.  The input is reduced mod p in int64;
-    the working stack is then the narrowest signed dtype holding
+    row r, so nothing would change it.  The input is reduced mod p in its
+    own dtype; the working stack is then the narrowest signed dtype holding
     (p - 1)^2 + p, which bounds every intermediate of a step."""
-    out = np.asarray(stack, dtype=np.int64) % p
-    count, r, c = out.shape
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= (p - 1) ** 2 + p)
-    m = out.astype(dtype)
+    dtype = _signed_dtype((p - 1) ** 2 + p)
+    m = (np.asarray(stack) % p).astype(dtype, copy=False)
+    count, r, c = m.shape
+    out = np.empty(m.shape, dtype=np.int64)
     inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=dtype)
     rows = np.arange(r)
     live = np.arange(count)
@@ -355,7 +365,9 @@ def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
 
 class GLGroup:
     """Fully enumerated GL_n(q), each element stored once: ``elements`` holds
-    the codes in ascending order, ``lifted`` their lifts over F_p.
+    the int64 codes in ascending order, ``lifted`` their lifts over F_p in the
+    narrowest signed dtype holding p - 1, widened before any product.  Both
+    are read-only, as ``gl_group`` hands one cached group to every caller.
     ``mats`` is a view of them as ``FqMatrix``, decoded on first read and kept
     for perfbench and the tests; no package path reads it."""
 
@@ -375,9 +387,10 @@ class GLGroup:
             lift = self.field.lift(self.decode(code))
             invertible = _rref(lift, p)[1] == d
             elements.append(code[invertible])
-            lifted.append(lift[invertible])
+            lifted.append(lift[invertible].astype(_signed_dtype(p - 1)))
         self.elements = np.concatenate(elements)
         self.lifted = np.concatenate(lifted)
+        self.elements.flags.writeable = self.lifted.flags.writeable = False
         if len(self.elements) != self.order:
             raise AssertionError("enumeration does not match the group order")
         self._cyclic: tuple[bool, ...] | None = None
@@ -417,11 +430,15 @@ class GLGroup:
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
+            real, whole = _exact_dtypes(d * (p - 1) ** 2)
             flags, keys = [], []
             for s in _slices(self.order, n * d * d):
-                powers = [np.broadcast_to(np.eye(d, dtype=np.int64), self.lifted[s].shape)]
+                lifts = self.lifted[s]
+                M = lifts.astype(real)
+                powers = [np.broadcast_to(np.eye(d, dtype=lifts.dtype), lifts.shape)]
                 for _ in range(n - 1):
-                    powers.append(powers[-1] @ self.lifted[s] % p)
+                    power = (powers[-1].astype(real) @ M).astype(whole)
+                    powers.append((power % p).astype(lifts.dtype))
                 blocks = np.stack(powers, axis=1).reshape(-1, n, n, e, n, e)
                 rref, rank = _rref(blocks.transpose(0, 5, 1, 2, 3, 4).reshape(-1, d, n * d), p)
                 flags.append(rank == d)
@@ -456,7 +473,7 @@ class GLGroup:
             owner = cyclic[first][key.reshape(-1)]
             p = self.field.p
             for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
-                A, R = self.lifted[cyclic[s]], self.lifted[owner[s]]
+                A, R = self.lifted[cyclic[s]].astype(np.int64), self.lifted[owner[s]].astype(np.int64)
                 if not (A @ R % p == R @ A % p).all():
                     raise AssertionError("a cyclic element does not commute with its key's representative")
             self._census = tuple(sorted(cyclic[first].tolist()))

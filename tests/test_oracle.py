@@ -950,12 +950,16 @@ def _stacks(p: int):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 181, 191])  # both sides of each dtype bound
 def test_rref_matches_plain_python(p):
     for stack in _stacks(p):
-        before = stack.copy()
-        rref, rank = _rref(stack, p)
-        assert (stack == before).all()  # the input is not modified
-        assert rref.shape == stack.shape and rref.dtype == np.int64
-        for matrix, form, r in zip(stack.tolist(), rref.tolist(), rank.tolist()):
-            assert (form, r) == reference_rref(matrix, p)
+        expect = [reference_rref(matrix, p) for matrix in stack.tolist()]
+        copies = [stack]
+        if p <= 11:  # an int8 copy, entries in [-p, p) congruent to the stack's
+            copies.append((stack % p - p * (stack % 2)).astype(np.int8))
+        for copy in copies:
+            before = copy.copy()
+            rref, rank = _rref(copy, p)
+            assert (copy == before).all()  # the input is not modified
+            assert rref.shape == stack.shape and rref.dtype == np.int64
+            assert list(zip(rref.tolist(), rank.tolist())) == expect
     assert (rank == stack.shape[1]).all()  # the last stack leaves the elimination early
 
 
@@ -1053,6 +1057,34 @@ def test_equal_algebra_keys_have_equal_commuting_rows(n, q):
 @pytest.mark.parametrize("n,q,classes", [(2, 2, 4), (3, 2, 78), (3, 3, 1236), (4, 2, 5447)])
 def test_algebra_key_class_counts(n, q, classes):
     assert noncentral_key_classes(gl_group(n, q)).max() + 1 == classes
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (3, 3)])
+def test_lifts_are_stored_as_int8_residues(n, q):
+    group = gl_group(n, q)
+    d = n * group.field.e
+    assert group.lifted.dtype == np.int8 and group.lifted.nbytes == group.order * d * d
+    assert group.field.lift(group.decode(group.elements[:2])).dtype == np.int64
+
+
+def test_elements_and_lifts_are_read_only():
+    # the cached group is shared by every caller, so no caller may write to it
+    group = gl_group(2, 3)
+    for array in (group.elements, group.lifted):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_gl2_11_products_past_int8_are_exact(monkeypatch):
+    # d (p - 1)^2 = 200 > 127: an int8 product of two lifts would wrap.  A
+    # fresh group, so the census runs its commuting cross-check here.
+    group = oracle.GLGroup(2, 11)
+    monkeypatch.setattr(oracle, "_gl_group_cached", lambda n, q: group)
+    assert group.lifted.dtype == np.int8
+    assert count_cyclic_centralizers(2, 11)[0] == 133 == a_polynomial(2).eval(11)
+    assert sum(group.cyclic_flags()) == 13190  # all but the 10 scalars
+    cset = centralizer(FqMatrix(group.field, ((1, 1), (0, 1))))
+    assert (cset.order, normalizer_of_set(cset)) == (110, 1100)
 
 
 def test_algebra_keys_are_read_only_and_cover_the_group():
