@@ -102,9 +102,10 @@ class MuFunction:
             prev = (d, m)
 
 
-@lru_cache(maxsize=None)
 def enumerate_phi(n: int) -> tuple[MuFunction, ...]:
-    """All weight functions of total weight n, in canonical sorted order."""
+    """All weight functions of total weight n, in canonical sorted order.
+    Not cached, so no labels outlive their reader: its one caller in the
+    package, :func:`class_sum`, reads them once per call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     out: list[MuFunction] = []

@@ -8,8 +8,9 @@ It is built on classes, never on element pairs.  Elements with equal
 ``GLGroup.algebra_keys`` generate one algebra F_q[M], and C(M) is the
 centralizer of that algebra, so they commute with the same elements: they
 are twins.  One ``oracle.commuting_table`` over a representative per class
-gives every edge in k^2 pair tests (GL_2(7): 2010 vertices, 57 classes), and
-all members of a class share one packed row.  The vertices are in degeneracy
+gives every edge in k^2 pair tests (GL_2(7): 2010 vertices, 57 classes),
+the classes found by ``oracle.key_classes`` in one sort of the keys, and all
+members of a class share one packed row.  The vertices are in degeneracy
 order: the lowest vertex of least degree is removed first, and the removal
 order is reversed.  Twins are never adjacent, so the living members of a
 class share one degree, and removing one leaves its own class's degree
@@ -57,6 +58,7 @@ from glcensus.oracle import (
     commuting_table,
     count_cyclic_centralizers,
     gl_group,
+    key_classes,
 )
 
 
@@ -117,12 +119,11 @@ def build_graph(n: int, q: int, budget: Budget | None = None) -> NonComGraph:
     group = gl_group(n, q, budget)
     centre = group.center_indices()
     verts = np.delete(np.arange(group.order), centre)
-    _, first, label = np.unique(group.algebra_keys()[verts], axis=0, return_index=True,
-                                return_inverse=True)
+    first, label = key_classes(group.algebra_keys()[verts])
     reps = group.lifted[verts[first]]
     adj = ~commuting_table(reps, reps, group.field.p)
-    order = _degeneracy_order(adj, label.reshape(-1))
-    label = label.reshape(-1)[order]
+    order = _degeneracy_order(adj, label)
+    label = label[order]
     rows = [row for s in _slices(len(adj), len(label)) for row in _bits_from_bools(adj[s][:, label])]
     return NonComGraph(n=n, q=q, vertices=tuple(verts[order].tolist()),
                        adjacency=tuple(rows[c] for c in label.tolist()), identity_index=centre[0])

@@ -9,7 +9,9 @@ replaced by its block.  The lift is an injective ring homomorphism, so
 products, rank and equality over F_q are products mod p, elimination mod p
 and array equality on d x d matrices over F_p, d = ne.  A group element is
 kept as its code (its n^2 entries as base-q digits, row-major), enumerated
-in ascending code order beside its lift.
+in ascending code order beside its lift.  A cached group holds only such
+arrays and scalars: ``GLGroup.mats``, the elements as ``FqMatrix``, is a view
+decoded from the codes on every read, and nothing keeps what it decodes.
 
 Residues are stored narrow, and no product is formed in the narrow dtype: a
 group's lifts are kept in the narrowest signed dtype holding p - 1 (int8 for
@@ -57,9 +59,11 @@ equivalent and are not used here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -363,13 +367,71 @@ def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
+def key_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of equal rows of a 2-d integer array, numbered in
+    ascending lexicographic order of their rows: each class's least row
+    index, and each row's class.  These are ``np.unique(keys, axis=0,
+    return_index=True, return_inverse=True)``'s index and inverse, from one
+    stable lexsort (column 0 most significant), a mask of the sorted rows
+    that differ from the row before, built column by column, and its
+    cumulative sum."""
+    order = np.lexsort(keys.T[::-1])
+    new = np.zeros(len(keys), dtype=bool)
+    new[:1] = True
+    for column in keys.T:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    label = np.empty(len(keys), dtype=np.intp)
+    label[order] = np.cumsum(new) - 1
+    return order[new], label
+
+
+class MatrixView(Sequence):
+    """The elements of a group as ``FqMatrix``, in element order, decoded
+    from the codes on every read and held by nothing: an index decodes that
+    one element, a slice gives a tuple, and iteration decodes chunk by chunk.
+    The matrices one view decodes share their row tuples, taken from its one
+    table of the q^n rows of n entries."""
+
+    def __init__(self, group: GLGroup):
+        self._group = group
+
+    def __len__(self) -> int:
+        return len(self._group.elements)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._decode(self._group.elements[index]))
+        i = range(len(self))[index]
+        return next(self._decode(self._group.elements[i:i + 1]))
+
+    def __iter__(self):
+        elements = self._group.elements
+        for s in _slices(len(elements), self._group.n ** 2):
+            yield from self._decode(elements[s])
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # row r has the base-q digits of r, as a code's rows do
+        return tuple(product(range(self._group.q), repeat=self._group.n))
+
+    def _decode(self, codes: np.ndarray):
+        """One ``FqMatrix`` per code, yielded one at a time."""
+        group, rows = self._group, self._rows
+        place = group.q ** np.arange(group.n - 1, -1, -1, dtype=np.int64)
+        for row_codes in (group.decode(codes) @ place).tolist():
+            yield FqMatrix(group.field, tuple(map(rows.__getitem__, row_codes)))
+
+
 class GLGroup:
     """Fully enumerated GL_n(q), each element stored once: ``elements`` holds
     the int64 codes in ascending order, ``lifted`` their lifts over F_p in the
     narrowest signed dtype holding p - 1, widened before any product.  Both
-    are read-only, as ``gl_group`` hands one cached group to every caller.
-    ``mats`` is a view of them as ``FqMatrix``, decoded on first read and kept
-    for perfbench and the tests; no package path reads it."""
+    are read-only, as ``gl_group`` hands one cached group to every caller,
+    and a group holds nothing else per element but the flags and keys that
+    ``cyclic_flags`` forms.  ``mats`` is a ``MatrixView`` of the elements as
+    ``FqMatrix``, made and decoded anew on every read, for perfbench and the
+    tests; no package path reads it."""
 
     def __init__(self, n: int, q: int):
         self.n = n
@@ -401,10 +463,9 @@ class GLGroup:
         """The F_q entries (..., n, n) of an array of codes."""
         return (codes[..., None] // self._place % self.q).reshape(codes.shape + (self.n, self.n))
 
-    @cached_property
-    def mats(self) -> tuple[FqMatrix, ...]:
-        return tuple(FqMatrix(self.field, tuple(map(tuple, rows)))
-                     for rows in self.decode(self.elements).tolist())
+    @property
+    def mats(self) -> MatrixView:
+        return MatrixView(self)
 
     def codes(self, columns: np.ndarray) -> np.ndarray:
         """One integer per matrix in a stack of block columns (..., ne, n):
@@ -468,9 +529,8 @@ class GLGroup:
         so the keys are sorted and cross-checked once per group."""
         if self._census is None:
             cyclic = np.flatnonzero(self.cyclic_flags())
-            _, first, key = np.unique(self.algebra_keys()[cyclic], axis=0, return_index=True,
-                                      return_inverse=True)
-            owner = cyclic[first][key.reshape(-1)]
+            first, key = key_classes(self.algebra_keys()[cyclic])
+            owner = cyclic[first][key]
             p = self.field.p
             for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
                 A, R = self.lifted[cyclic[s]].astype(np.int64), self.lifted[owner[s]].astype(np.int64)

@@ -1,6 +1,9 @@
-"""The summary arithmetic of ``scripts/bench.py``, on made-up run values."""
+"""The summary arithmetic of ``scripts/bench.py``, on made-up run values,
+and one smoke-scale pass of ``scripts/job_peaks.py``."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +88,20 @@ def test_compare_is_unresolved_when_the_spread_passes_the_bound():
     assert not bench.compare(first, [0.5] * 10, "lower", 0.25)["unresolved"]
     assert not bench.compare(first, [3.5] * 10, "higher", 0.25)["unresolved"]
     assert not bench.compare([2.0] * 10, [2.0] * 10, "lower", 0.25)["unresolved"]
+
+
+def test_job_peaks_prints_every_job_of_a_smoke_pass_and_writes_nothing():
+    perfbench = ROOT / "perfbench"
+    before = sorted(perfbench.rglob("*"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "job_peaks.py"), "oracle-groups",
+                           "5", "--scale", "smoke"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["seconds", "peak_mib", "rss_mib", "ok", "job"]
+    jobs = [line.split() for line in lines[2:]]
+    assert jobs and all(len(job) == 5 and job[3] == "yes" for job in jobs)
+    assert jobs[0][4] == "oracle.gl_group(2,3)"
+    assert jobs[-1][4] == "oracle.count_cyclic_centralizers(2,3,steps=1000)"
+    peaks = [float(job[1]) for job in jobs]
+    assert peaks == sorted(peaks) and all(float(job[2]) > 0 for job in jobs)
+    assert sorted(perfbench.rglob("*")) == before

@@ -13,6 +13,7 @@ from glcensus.oracle import (
     BudgetError,
     CentralizerSet,
     FqMatrix,
+    MatrixView,
     _exact_dtypes,
     _gl_group_cached,
     _rref,
@@ -24,6 +25,7 @@ from glcensus.oracle import (
     gl_group,
     jm_block,
     jm_check_task,
+    key_classes,
     monic_irreducibles,
     noncyclic_centralizer_witness,
     normalizer_of_set,
@@ -979,7 +981,7 @@ def test_enumeration_matches_determinant_filter(n, q):
         if char_poly(M)[0]:  # det M = (-1)^n char_poly(M)(0)
             expect.append(M)
     assert group.elements.tolist() == [encode(M) for M in expect]
-    assert group.mats == tuple(expect)  # decoded from the codes
+    assert tuple(group.mats) == tuple(expect)  # decoded from the codes
     assert (group.lifted == F.lift([M.rows for M in expect])).all()
 
 
@@ -987,9 +989,13 @@ def test_package_paths_leave_mats_unbuilt(monkeypatch, capsys, tmp_path):
     """The package works on the codes and the lifts alone: on a fresh group,
     not the cached one, the census, the flags, the centre, a centralizer, a
     normalizer, the graph, the seed, the oracle tasks and the CLI witness
-    file never decode ``mats``."""
+    file never decode an element through ``mats``."""
     group = oracle.GLGroup(2, 3)
     monkeypatch.setattr(oracle, "_gl_group_cached", lambda n, q: group)
+    decodes = []
+    decode = oracle.MatrixView._decode
+    monkeypatch.setattr(oracle.MatrixView, "_decode",
+                        lambda view, codes: decodes.append(len(codes)) or decode(view, codes))
     assert gl_group(2, 3) is group
     reps = group.cyclic_centralizer_census()
     assert count_cyclic_centralizers(2, 3) == (len(reps), reps)
@@ -1005,7 +1011,39 @@ def test_package_paths_leave_mats_unbuilt(monkeypatch, capsys, tmp_path):
     assert cli.main(["clique", "omega", "--n", "2", "--q", "3",
                      "--emit-witness", str(tmp_path / "witness.txt")]) == 0
     capsys.readouterr()
-    assert "mats" not in vars(group)
+    assert decodes == []
+    assert len(group.mats[:3]) == 3 and decodes == [3]  # the counter sees a decode
+
+
+@pytest.mark.parametrize("n,q", [(1, 4), (2, 3), (2, 4), (3, 2)])
+def test_mats_view_decodes_the_elements(monkeypatch, n, q):
+    """Every read of ``mats`` decodes ``elements`` afresh, and a fresh group
+    keeps no matrix after a full iteration, run here over many chunks."""
+    group = oracle.GLGroup(n, q)
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 40)
+    expect = [FqMatrix(group.field, tuple(map(tuple, rows)))
+              for rows in group.decode(group.elements).tolist()]
+    view = group.mats
+    assert isinstance(view, MatrixView) and view is not group.mats
+    assert len(view) == group.order
+    for i in (0, group.order // 2, group.order - 1, -1, -2, -group.order):
+        assert view[i] == expect[i]
+    for i in (group.order, -group.order - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view[3:20:4] == tuple(expect[3:20:4]) and view[::-5] == tuple(expect[::-5])
+    assert view.index(expect[-2]) == group.order - 2 and expect[1] in view
+    mats = list(view)
+    assert mats == expect
+    rows = {}
+    for M in mats:
+        for row in M.rows:
+            assert rows.setdefault(row, row) is row  # equal rows are one tuple
+    assert len(rows) <= q**n
+    held = [name for name, value in vars(group).items()
+            if isinstance(value, FqMatrix)
+            or isinstance(value, (tuple, list)) and any(isinstance(x, FqMatrix) for x in value)]
+    assert held == []
 
 
 @pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9),
@@ -1024,8 +1062,8 @@ def test_census_runs_once_per_group(monkeypatch):
     monkeypatch.setattr(oracle, "_gl_group_cached", lambda n, q: group)
     group.cyclic_flags()
     calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+    classes = oracle.key_classes
+    monkeypatch.setattr(oracle, "key_classes", lambda keys: calls.append(1) or classes(keys))
     count, reps = count_cyclic_centralizers(2, 3)
     assert group.cyclic_centralizer_census() is reps
     assert seed_clique(2, 3) == reps and count == 13
@@ -1040,6 +1078,25 @@ def noncentral_key_classes(group) -> np.ndarray:
     """The class of each non-central element under equal ``algebra_keys``."""
     noncentral = np.delete(np.arange(group.order), group.center_indices())
     return np.unique(group.algebra_keys()[noncentral], axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def assert_key_classes_match_unique(keys):
+    _, first, label = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    got_first, got_label = key_classes(keys)
+    assert got_first.tolist() == first.tolist()
+    assert got_label.tolist() == label.reshape(-1).tolist()
+
+
+def test_key_classes_match_np_unique_on_random_ties():
+    rng = np.random.default_rng(24)
+    for rows, columns, high in [(2000, 3, 2), (1000, 5, 2), (500, 1, 4), (300, 2, 1000), (1, 4, 5),
+                                (0, 3, 2)]:
+        assert_key_classes_match_unique(rng.integers(-high, high, (rows, columns), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (4, 2)])
+def test_key_classes_match_np_unique_on_algebra_keys(n, q):
+    assert_key_classes_match_unique(gl_group(n, q).algebra_keys())
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 2)])
