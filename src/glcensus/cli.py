@@ -4,9 +4,11 @@ Every subcommand prints JSON, except that census and verify print a
 human-readable table unless --json is given.  Execution is sequential, so
 every output is deterministic; limit lq prints its exact endpoints as
 hexadecimal num/den.
-Each request runs under one oracle.Budget.  --budget N caps group
-enumeration at N elements and scan work at 5000*N steps (the defaults are
-200000 and 10^9); clique omega --timeout S caps its search at S seconds.
+Each oracle, clique omega and verify request runs under one oracle.Budget.
+Their option --budget N caps group enumeration at N elements and scan work
+at 5000*N steps (the defaults are 200000 and 10^9); clique omega --timeout S
+caps its search at S seconds.  census, series and limit run no group work
+and take no --budget.
 
 Exit codes: 0 on success; 1 when a check or search the command ran fails;
 2 when the request is refused or invalid (bad input or usage, a path that
@@ -274,13 +276,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # global flags may appear before or after the subcommand, so they live in
-    # a parent parser with SUPPRESS defaults (the last occurrence wins)
+    # --json may appear before or after the subcommand, so it lives in a
+    # parent parser with a SUPPRESS default (the last occurrence wins);
+    # --budget is an option of the subcommands that run group work
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="force JSON output")
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
-                        help="max group elements to enumerate (scan steps scale with it)")
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget", type=int, default=None,
+                          help="max group elements to enumerate (scan steps scale with it)")
 
     parser = _Parser(
         prog="glcensus",
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--terms", type=int, default=asympt.DEFAULT_TERMS)
     pc.set_defaults(func=cmd_limit_check)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[budgeted],
                        help="brute-force checks over a small GL_n(q)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -327,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clique", help="exact clique number of the non-commuting graph")
     clique_sub = p.add_subparsers(dest="clique_command", required=True)
-    po = clique_sub.add_parser("omega", parents=[common])
+    po = clique_sub.add_parser("omega", parents=[budgeted])
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--q", type=int, required=True)
     po.add_argument("--timeout", type=float, default=60.0)
     po.add_argument("--emit-witness", dest="emit_witness", default=None)
     po.set_defaults(func=cmd_clique)
 
-    p = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p = sub.add_parser("verify", parents=[budgeted], help="run the verification suite")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
     p.add_argument("--seed", type=int, default=0, help="seed for the randomised spot checks")
     p.add_argument("--golden-dir", dest="golden_dir", default=None,
@@ -347,7 +351,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.json = getattr(args, "json", False)
-        args.budget = getattr(args, "budget", None)
         return args.func(args)
     except (ValueError, OSError, oracle.BudgetError) as exc:
         # UnsupportedRegimeError and DivergenceError are ValueErrors; an

@@ -8,9 +8,10 @@ It is built on classes, never on element pairs.  Elements with equal
 ``GLGroup.algebra_keys`` generate one algebra F_q[M], and C(M) is the
 centralizer of that algebra, so they commute with the same elements: they
 are twins.  One ``oracle.commuting_table`` over a representative per class
-gives every edge in k^2 pair tests (GL_2(7): 2010 vertices, 57 classes),
-the classes found by ``oracle.key_classes`` in one sort of the keys, and all
-members of a class share one packed row.  The vertices are in degeneracy
+gives every edge in about k^2 / 2 pair tests, as the table is symmetric
+(GL_2(7): 2010 vertices, 57 classes), the classes found by
+``oracle.key_classes`` in one sort of the keys, and all members of a class
+share one packed row.  The vertices are in degeneracy
 order: the lowest vertex of least degree is removed first, and the removal
 order is reversed.  Twins are never adjacent, so the living members of a
 class share one degree, and removing one leaves its own class's degree
@@ -56,6 +57,7 @@ from glcensus.oracle import (
     _slices,
     check_scan_budget,
     commuting_table,
+    commuting_tiles,
     count_cyclic_centralizers,
     gl_group,
     key_classes,
@@ -170,10 +172,13 @@ def seed_clique(n: int, q: int, budget: Budget | None = None) -> tuple[int, ...]
 
 
 def _pairwise_noncommuting(group: GLGroup, indices) -> bool:
+    """Whether no two of the elements commute: only the pairs i < j are
+    tested, tile by tile, and the first commuting pair ends the test."""
     sel = group.lifted[list(indices)]
-    commute = commuting_table(sel, sel, group.field.p)
-    np.fill_diagonal(commute, False)
-    return not commute.any()
+    for rows, columns, commute in commuting_tiles(sel, sel, group.field.p, above_diagonal=True):
+        if np.triu(commute, rows.start - columns.start + 1).any():
+            return False
+    return True
 
 
 def covering_upper_bound(n: int, q: int) -> int:

@@ -14,20 +14,32 @@ arrays and scalars: ``GLGroup.mats``, the elements as ``FqMatrix``, is a view
 decoded from the codes on every read, and nothing keeps what it decodes.
 
 Residues are stored narrow, and no product is formed in the narrow dtype: a
-group's lifts are kept in the narrowest signed dtype holding p - 1 (int8 for
-p <= 127) and widened before every product, to int64 or to an exact float.
-``Fq.lift`` returns int64, as the polynomial checks multiply its results as
-they are.  The powers in ``cyclic_flags`` and the two all-pairs scans are
-products of residues run in floating point where every partial sum is an
-integer the float holds exactly: float32 below 2^24, float64 below 2^53, and
-a ValueError before any product beyond that.
-``commuting_table`` goes through the commutator operator: in row-major vec,
-vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a chunk of X
-against all of S is one (B d^2, d^2) @ (d^2, |S|) product of residues, whose
-partial sums are at most d^2 (p-1)^2, and X_i commutes with S_j exactly when
-column j of the block of X_i is 0 mod p.  ``normalizer_of_set`` forms only
-column 0 of each e x e block of gC, Cg and g c0, the digits a code reads:
-one product each, with partial sums at most d (p-1)^2.
+group's lifts are gathered and kept in the narrowest signed dtype holding
+p - 1 (int8 for p <= 127) and widened before every product, to int64 or to
+an exact float.  ``Fq.lift`` returns int64 by default, as the polynomial
+checks multiply its results as they are.  The powers in ``cyclic_flags``,
+the census cross-check and the two all-pairs scans are products of
+residues run in floating point where every partial sum is an integer the
+float holds exactly: float32 below 2^24, float64 below 2^53, and a
+ValueError before any product beyond that.
+``commuting_tiles`` goes through the commutator operator: in row-major vec,
+vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a tile of X
+against a tile of S is one (B d^2, d^2) @ (d^2, C) product of residues,
+whose partial sums are at most d^2 (p-1)^2, and X_i commutes with S_j
+exactly when column j of the block of X_i is 0 mod p.  The census
+cross-check multiplies its pairs of lifts both ways, with partial sums at
+most d (p-1)^2.  ``normalizer_of_set`` forms only column 0 of each e x e
+block of gC, Cg and g c0, the digits a code reads: one product each, with
+partial sums at most d (p-1)^2.
+
+All group work runs in chunks of a stack, sized in bytes: each step passes
+``_slices`` the bytes per item of the widest array it allocates, so that
+array stays within ``_CHUNK_BYTES`` (512 KiB), and each kernel holds only
+a few arrays of that width at once.  That bounds the transient memory of a
+step whatever the group.  Stacks are kept narrow (lifts and spans in their
+residue dtype, forms in ``_rref``'s working dtype, products in float32
+where exact), so a chunk still holds many items.  A commuting tile is such
+a chunk on both axes.
 
 One kernel, ``_rref``, does every elimination, over a whole stack at once:
 GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
@@ -36,7 +48,8 @@ rank ne.  The reduced echelon form of that span keys M by its algebra: the
 census keys cyclic M on it, as C(M) = F_q[M]^x for them, and the
 non-commuting graph keys every non-central M, as C(M) = C(F_q[M]).  A
 matrix leaves the kernel's working stack, of the narrowest signed dtype
-holding (p - 1)^2 + p, as soon as its rank reaches its row count: no later
+holding (p - 1)^2 + p, which is also the dtype of the forms it returns,
+as soon as its rank reaches its row count: no later
 column then has a pivot row left to change it, and a cyclic span mostly
 gets there within its first ne columns of n^2 e.  The polynomial checks run
 on lifts too: irreducibility is Rabin's test on companion matrices, and the
@@ -143,12 +156,14 @@ class Fq:
         """-a, for an element or an integer array of elements, digit by digit."""
         return (-self._digits[a] % self.p) @ self._place
 
-    def lift(self, entries) -> np.ndarray:
+    def lift(self, entries, dtype=np.int64) -> np.ndarray:
         """F_q entries of shape (..., n, n) as (..., ne, ne) matrices over F_p:
-        the regular representation, entry a becoming ``blocks[a]``."""
+        the regular representation, entry a becoming ``blocks[a]``, gathered
+        in the given dtype."""
         entries = np.asarray(entries, dtype=np.int64)
         d = entries.shape[-1] * self.e
-        return self.blocks[entries].swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
+        blocks = self.blocks.astype(dtype, copy=False)[entries]
+        return blocks.swapaxes(-3, -2).reshape(entries.shape[:-2] + (d, d))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Fq) and other.q == self.q
@@ -194,7 +209,7 @@ def _irreducibles(field: Fq, tails):
     d = tails.shape[1]
     size = d * field.e
     primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % s for s in range(2, r))]
-    for s in _slices(len(tails), (d + 4) * size * size):
+    for s in _slices(len(tails), 8 * (d + 1) * size * size):  # the int64 powers C^(q^k)
         companion = np.zeros((len(tails[s]), d, d), dtype=np.int64)
         companion[:, np.arange(d - 1), np.arange(1, d)] = 1
         companion[:, -1] = field.neg(tails[s])
@@ -266,14 +281,15 @@ def noncyclic_centralizer_witness() -> FqMatrix:
 # batched elimination, group enumeration and scans
 
 
-# Entries of the largest stack one step of the group work materialises at once.
-_CHUNK_ENTRIES = 500_000
+# Bytes of the widest array one step of the group work allocates.
+_CHUNK_BYTES = 512 * 1024
 
 
-def _slices(count: int, entries_per_item: int):
-    """Consecutive slices of range(count), each of at most _CHUNK_ENTRIES entries."""
-    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
-    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+def _slices(count: int, bytes_per_item: int, start: int = 0):
+    """Consecutive slices of range(start, count), each of as many items as
+    fit _CHUNK_BYTES at bytes_per_item, and at least one."""
+    step = max(1, _CHUNK_BYTES // max(1, bytes_per_item))
+    return (slice(i, min(i + step, count)) for i in range(start, count, step))
 
 
 def _exact_dtypes(bound: int):
@@ -291,20 +307,25 @@ def _signed_dtype(bound: int):
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
 
 
+def _rref_dtype(p: int):
+    """The working dtype of ``_rref`` mod p: the narrowest signed dtype
+    holding (p - 1)^2 + p, which bounds every intermediate of a step."""
+    return np.dtype(_signed_dtype((p - 1) ** 2 + p))
+
+
 def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms mod p of a stack (B, r, c) of integer
-    matrices, as int64, and their ranks: one pass over the columns,
-    vectorised over B.
+    matrices, in the working dtype ``_rref_dtype(p)``, and their ranks as
+    int64: one pass over the columns, vectorised over B.
 
     A matrix leaves the working stack once its rank reaches r, its form
     written back then: no later column has a pivot candidate at or below
     row r, so nothing would change it.  The input is reduced mod p in its
-    own dtype; the working stack is then the narrowest signed dtype holding
-    (p - 1)^2 + p, which bounds every intermediate of a step."""
-    dtype = _signed_dtype((p - 1) ** 2 + p)
+    own dtype and then narrowed to the working dtype."""
+    dtype = _rref_dtype(p)
     m = (np.asarray(stack) % p).astype(dtype, copy=False)
     count, r, c = m.shape
-    out = np.empty(m.shape, dtype=np.int64)
+    out = np.empty(m.shape, dtype=dtype)
     inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=dtype)
     rows = np.arange(r)
     live = np.arange(count)
@@ -344,26 +365,78 @@ def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     return out, rank
 
 
-def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
-    """Bool table over two stacks of d x d matrices over F_p (integer
-    arrays, such as lifted group elements): entry (i, j) is whether
-    X_i S_j = S_j X_i mod p.
+def _round_down(v: np.ndarray, p: int) -> np.ndarray:
+    """The largest multiple of p at or below each entry of an integer
+    array, as one new array: v // p * p."""
+    w = v // p
+    w *= p
+    return w
 
-    Each chunk of X is one product K @ V: K stacks the commutator operators
-    K_X = X (x) I - I (x) X^T mod p, one d^2 x d^2 block per X_i, and V holds
-    vec(S_j) mod p in column j.  Column j of the block of X_i is then
-    congruent to vec(X_i S_j - S_j X_i) mod p, so the pair commutes exactly
-    when every entry of that column is divisible by p.
+
+def _divisible(v: np.ndarray, p: int) -> np.ndarray:
+    """Whether each entry of an integer array is divisible by p.  Callers
+    pass a fresh product, so that it lives no longer than the call."""
+    return _round_down(v, p) == v
+
+
+def _pairs_commute(A: np.ndarray, B: np.ndarray, p: int) -> bool:
+    """Whether A_i B_i = B_i A_i mod p for every i, over two stacks of d x d
+    matrices over F_p, by one exact float product of the stacked pairs."""
+    d = A.shape[-1]
+    real, whole = _exact_dtypes(d * (p - 1) ** 2)
+    pairs = np.stack([A, B]).astype(real)
+    pairs = pairs @ pairs[::-1]  # AB, BA
+    return bool(_divisible((pairs[0] - pairs[1]).astype(whole), p).all())
+
+
+# Columns of one commuting tile; its rows fill the rest of _CHUNK_BYTES.
+_TILE_COLUMNS = 256
+
+
+def commuting_tiles(X: np.ndarray, S: np.ndarray, p: int, above_diagonal: bool = False):
+    """Whether X_i S_j = S_j X_i mod p, over two stacks of d x d matrices
+    over F_p (integer arrays, such as lifted group elements), yielded tile by
+    tile as (rows, columns, block): block[a, b] is the pair (rows.start + a,
+    columns.start + b).  With ``above_diagonal`` (S the stack X), a row tile
+    meets only the columns after its first row, which still covers every
+    pair i < j; its blocks also hold some pairs j <= i, correctly.
+
+    A tile is one product K @ V: K stacks the commutator operators
+    K_X = X (x) I - I (x) X^T mod p, one d^2 x d^2 block per X_i of the
+    row tile, and V holds vec(S_j) mod p in column j of the column tile.
+    Column j of the block of X_i is then congruent to vec(X_i S_j - S_j X_i)
+    mod p, so the pair commutes exactly when every entry of that column is
+    divisible by p.  A tile has _TILE_COLUMNS columns, or all of S if it has
+    fewer, and as many operator blocks as keep the product within
+    _CHUNK_BYTES.
     """
     d = X.shape[-1]
     real, whole = _exact_dtypes(d * d * (p - 1) ** 2)
+    size = np.dtype(real).itemsize
     eye = np.eye(d, dtype=np.int64)
-    V = (S.reshape(len(S), d * d).T % p).astype(real)
+    for rows in _slices(len(X), d * d * min(len(S), _TILE_COLUMNS) * size):
+        K = np.einsum("bak,jl->bajkl", X[rows], eye) - np.einsum("ak,blj->bajkl", eye, X[rows])
+        K = (K.reshape(-1, d * d) % p).astype(real)
+        start = rows.start + 1 if above_diagonal else 0
+        for columns in _slices(len(S), len(K) * size, start):
+            V = (S[columns].reshape(-1, d * d) % p).astype(real)
+            commute = _divisible((K @ V.T).astype(whole), p).reshape(-1, d * d, len(V)).all(axis=1)
+            yield rows, columns, commute
+
+
+def commuting_table(X: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
+    """Bool table over two stacks of d x d matrices over F_p: entry (i, j)
+    is whether X_i S_j = S_j X_i mod p, filled from ``commuting_tiles``.
+    When S is X the table is symmetric with a true diagonal, so only the
+    tiles above the diagonal are formed, each written and mirrored."""
     table = np.empty((len(X), len(S)), dtype=bool)
-    for s in _slices(len(X), len(S) * d * d):
-        K = np.einsum("bak,jl->bajkl", X[s], eye) - np.einsum("ak,blj->bajkl", eye, X[s])
-        v = ((K.reshape(-1, d * d) % p).astype(real) @ V).astype(whole)
-        table[s] = (v // p * p == v).reshape(-1, d * d, len(S)).all(axis=1)
+    symmetric = S is X
+    for rows, columns, block in commuting_tiles(X, S, p, above_diagonal=symmetric):
+        table[rows, columns] = block
+        if symmetric:
+            table[columns, rows] = block.T
+    if symmetric:
+        np.fill_diagonal(table, True)
     return table
 
 
@@ -407,7 +480,7 @@ class MatrixView(Sequence):
 
     def __iter__(self):
         elements = self._group.elements
-        for s in _slices(len(elements), self._group.n ** 2):
+        for s in _slices(len(elements), 8 * self._group.n ** 2):  # the int64 entries
             yield from self._decode(elements[s])
 
     @cached_property
@@ -443,13 +516,15 @@ class GLGroup:
         # place of entry (r, c) in a code: q^(n^2 - 1 - (rn + c)); digit i of it weighs p^i more
         self._place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
         self._weights = (self._place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
+        residue = _signed_dtype(p - 1)
         elements, lifted = [], []
-        for s in _slices(q ** (n * n), d * d):
+        # the widest array is the int64 entries or _rref's working stack
+        for s in _slices(q ** (n * n), max(8 * n * n, d * d * _rref_dtype(p).itemsize)):
             code = np.arange(s.start, s.stop)
-            lift = self.field.lift(self.decode(code))
+            lift = self.field.lift(self.decode(code), residue)
             invertible = _rref(lift, p)[1] == d
             elements.append(code[invertible])
-            lifted.append(lift[invertible].astype(_signed_dtype(p - 1)))
+            lifted.append(lift[invertible])
         self.elements = np.concatenate(elements)
         self.lifted = np.concatenate(lifted)
         self.elements.flags.writeable = self.lifted.flags.writeable = False
@@ -491,23 +566,39 @@ class GLGroup:
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
-            real, whole = _exact_dtypes(d * (p - 1) ** 2)
-            flags, keys = [], []
-            for s in _slices(self.order, n * d * d):
-                lifts = self.lifted[s]
-                M = lifts.astype(real)
-                powers = [np.broadcast_to(np.eye(d, dtype=lifts.dtype), lifts.shape)]
-                for _ in range(n - 1):
-                    power = (powers[-1].astype(real) @ M).astype(whole)
-                    powers.append((power % p).astype(lifts.dtype))
-                blocks = np.stack(powers, axis=1).reshape(-1, n, n, e, n, e)
-                rref, rank = _rref(blocks.transpose(0, 5, 1, 2, 3, 4).reshape(-1, d, n * d), p)
-                flags.append(rank == d)
-                keys.append(rref @ self._weights)
-            self._cyclic = tuple(np.concatenate(flags).tolist())
-            self._keys = np.concatenate(keys)
+            real = _exact_dtypes(d * (p - 1) ** 2)[0]
+            flags = np.empty(self.order, dtype=bool)
+            keys = np.empty((self.order, d), dtype=np.int64)
+            # the widest array is a float power or _rref's working stack of the span
+            for s in _slices(self.order, d * d * max(np.dtype(real).itemsize, n * _rref_dtype(p).itemsize)):
+                rref, rank = _rref(self._algebra_span(self.lifted[s]), p)
+                flags[s] = rank == d
+                # einsum widens the forms to int64 in its own buffers
+                np.einsum("brj,j->br", rref, self._weights, out=keys[s])
+            self._cyclic = tuple(flags.tolist())
+            self._keys = keys
             self._keys.flags.writeable = False
         return self._cyclic
+
+    def _algebra_span(self, lifts: np.ndarray) -> np.ndarray:
+        """The F_p-spanning rows of F_q[M] for a stack of lifted M, in the
+        lifts' dtype, shape (B, ne, n^2 e): row (k, j) holds the digits of
+        t^j M^k, column j of every e x e block of M^k.  The rows' order
+        leaves the echelon form as it is.  Each power past M is one exact
+        float product, narrowed once it is reduced."""
+        n, e, p = self.n, self.field.e, self.field.p
+        d = n * e
+        real, whole = _exact_dtypes(d * (p - 1) ** 2)
+        span = np.empty((len(lifts), n, e, n, e, n), dtype=lifts.dtype)
+        power = np.broadcast_to(np.eye(d, dtype=lifts.dtype), lifts.shape)
+        for k in range(n):
+            if k == 1:
+                power = lifts
+            elif k:
+                power = (power.astype(real) @ lifts.astype(real)).astype(whole)
+                power = (power % p).astype(lifts.dtype)
+            span[:, k] = power.reshape(-1, n, e, n, e).transpose(0, 4, 1, 2, 3)
+        return span.reshape(-1, d, n * d)
 
     def algebra_keys(self) -> np.ndarray:
         """One read-only row per element M, the row codes of the echelon form
@@ -531,10 +622,10 @@ class GLGroup:
             cyclic = np.flatnonzero(self.cyclic_flags())
             first, key = key_classes(self.algebra_keys()[cyclic])
             owner = cyclic[first][key]
-            p = self.field.p
-            for s in _slices(len(cyclic), self.lifted.shape[-1] ** 2):
-                A, R = self.lifted[cyclic[s]].astype(np.int64), self.lifted[owner[s]].astype(np.int64)
-                if not (A @ R % p == R @ A % p).all():
+            p, d = self.field.p, self.lifted.shape[-1]
+            size = np.dtype(_exact_dtypes(d * (p - 1) ** 2)[0]).itemsize
+            for s in _slices(len(cyclic), 2 * d * d * size):  # the float pairs
+                if not _pairs_commute(self.lifted[cyclic[s]], self.lifted[owner[s]], p):
                     raise AssertionError("a cyclic element does not commute with its key's representative")
             self._census = tuple(sorted(cyclic[first].tolist()))
         return self._census
@@ -632,17 +723,21 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
     C_cols = C[..., ::e].transpose(1, 0, 2).reshape(d, c * n).astype(real)
     c0_cols = group.lifted[c0, :, ::e].astype(real)
     count = 0
-    for s in _slices(group.order, 2 * c * d * n):
+    # the widest array is the product cg (or gc), c d n entries per g
+    for s in _slices(group.order, c * d * n * np.dtype(real).itemsize):
         G = group.lifted[s].astype(real)
         b = len(G)
         # cg: rows (c, r), columns (g, j); gc: rows (g, r), columns (c, j)
         cg = (C_rows @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n)).astype(whole)
-        cg = group.codes((cg - cg // p * p).reshape(c, d, b, n).transpose(2, 0, 1, 3))
+        cg -= _round_down(cg, p)
+        cg = group.codes(cg.reshape(c, d, b, n).transpose(2, 0, 1, 3))
         gc0 = (G @ c0_cols).astype(whole)
-        keep = (cg == group.codes(gc0 - gc0 // p * p)[:, None]).any(axis=1)
+        gc0 -= _round_down(gc0, p)
+        keep = (cg == group.codes(gc0)[:, None]).any(axis=1)
         G, b = G[keep], int(keep.sum())
         gc = (G.reshape(b * d, d) @ C_cols).astype(whole)
-        gc = (gc - gc // p * p).reshape(b, d, c, n).transpose(0, 2, 1, 3)
+        gc -= _round_down(gc, p)
+        gc = gc.reshape(b, d, c, n).transpose(0, 2, 1, 3)
         same = np.sort(group.codes(gc), axis=1) == np.sort(cg[keep], axis=1)
         count += int(same.all(axis=1).sum())
     return count
@@ -698,7 +793,7 @@ def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np
     d, p = len(polys[0]) - 1, field.p
     size = d * m * field.e
     fails = []
-    for s in _slices(len(polys), (d + 6) * size * size):
+    for s in _slices(len(polys), 8 * (d + 1) * size * size):  # the int64 scalars f_i I
         entries = np.array([jm_block(field, f, m).rows for f in polys[s]], dtype=np.int64)
         J = field.lift(entries)
         # the scalars f_i I, as entry arrays (B, d + 1, n, n)

@@ -121,6 +121,29 @@ def test_seed_is_an_option_of_verify_only(capsys):
     assert "25 randomised evaluation trials agree (seed=7)" in [c["detail"] for c in report["checks"]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["census", "--n", "2", "--budget", "1", "--json"],
+    ["series", "expand", "--which", "f1", "--order", "2", "--budget", "1"],
+    ["limit", "lq", "--q", "2", "--terms", "3", "--budget", "1"],
+    ["limit", "check", "--q", "2", "--terms", "3", "--budget", "1"],
+    ["--budget", "1", "census", "--n", "2"],
+])
+def test_budget_is_an_option_of_the_group_commands_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+    assert "Traceback" not in out + err
+
+
+def test_budget_still_prices_the_group_commands(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "3", "--task", "centralizer-count",
+                           "--budget", "48", "--json")
+    assert code == 0 and json.loads(out)["distinct_centralizers"] == 13
+    code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "3", "--task", "centralizer-count",
+                           "--budget", "47")
+    assert code == 2 and "enumeration budget" in json.loads(out)["error"]
+
+
 def test_jm_check_refusal_builds_no_field(capsys):
     fields = oracle.get_field.cache_info()
     code, out, _ = run_cli(capsys, "oracle", "--n", "2", "--q", "64", "--task", "jm-check")

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from glcensus import clique
+from glcensus import clique, oracle
 from glcensus.census import UnsupportedRegimeError
 from glcensus.clique import (
     NonComGraph,
@@ -239,6 +239,45 @@ def test_pairwise_noncommuting_extension_field():
     square = group.mats.index(matmul(M, M))
     assert square != seed[0]
     assert not _pairwise_noncommuting(group, (seed[0], square))
+    assert not _pairwise_noncommuting(group, seed + (square,))
+
+
+def test_pairwise_check_tests_each_pair_once_and_stops_at_a_commuting_pair(monkeypatch):
+    """The seed check forms about half of the |seed|^2 pairs, tile by tile,
+    and returns at the first tile holding a commuting pair i < j."""
+    group = gl_group(3, 3)
+    seed = seed_clique(3, 3)
+    formed = []
+    tiles = clique.commuting_tiles
+
+    def counted(*args, **kwargs):
+        for rows, columns, block in tiles(*args, **kwargs):
+            formed.append(block.size)
+            yield rows, columns, block
+
+    monkeypatch.setattr(clique, "commuting_tiles", counted)
+    assert _pairwise_noncommuting(group, seed)
+    k = len(seed)
+    assert k * (k - 1) / 2 <= sum(formed) < 0.55 * k * k
+    M = group.mats[seed[0]]
+    square = group.mats.index(matmul(M, M))
+    formed.clear()
+    assert not _pairwise_noncommuting(group, (seed[0], square) + seed[1:])
+    assert len(formed) == 1
+
+
+@pytest.mark.parametrize("where", [0, 30, 56])
+def test_pairwise_check_finds_a_commuting_pair_in_any_tile(monkeypatch, where):
+    """With tiles of a few pairs, a pair (seed member, its square) is found
+    wherever the square is placed after it."""
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 2048)
+    monkeypatch.setattr(oracle, "_TILE_COLUMNS", 4)
+    group = gl_group(3, 2)
+    seed = seed_clique(3, 2)
+    assert len(seed) == 57 and _pairwise_noncommuting(group, seed)
+    M = group.mats[seed[where]]
+    square = group.mats.index(matmul(M, M))
+    assert not _pairwise_noncommuting(group, seed[:where + 1] + (square,) + seed[where + 1:])
     assert not _pairwise_noncommuting(group, seed + (square,))
 
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -890,7 +892,8 @@ def reference_commuting(X, S, p):
                                       (4099, 1, np.float64), (4099, 3, np.float64)])
 def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
     assert _exact_dtypes(d * d * (p - 1) ** 2)[0] is real  # the branch under test
-    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 5_000)  # many chunks
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 4096)  # many tiles on both axes
+    monkeypatch.setattr(oracle, "_TILE_COLUMNS", 16)
     rng = np.random.default_rng(p + d)
     X = rng.integers(0, p, (70, d, d))
     # the polynomials a X_k^2 + b X_k + c I commute with X_k, and for d > 1
@@ -898,9 +901,13 @@ def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
     a, b, c = rng.integers(0, p, (3, 70, 1, 1))
     polys = (a * (X @ X % p) + b * X + c * np.eye(d, dtype=np.int64)) % p
     S = np.concatenate([X, polys, rng.integers(0, p, (40, d, d))])
+    tiles = [(rows, columns) for rows, columns, _ in oracle.commuting_tiles(X, S, p)]
+    assert len({rows.start for rows, _ in tiles}) > 2 and len({columns.start for _, columns in tiles}) > 2
     table = commuting_table(X, S, p)
     assert (table == reference_commuting(X, S, p)).all()
     assert table[np.arange(70), 70 + np.arange(70)].all()
+    # S is X: the tiles above the diagonal, mirrored
+    assert (commuting_table(S, S, p) == reference_commuting(S, S, p)).all()
 
 
 def test_exact_dtypes_bounds():
@@ -960,9 +967,79 @@ def test_rref_matches_plain_python(p):
             before = copy.copy()
             rref, rank = _rref(copy, p)
             assert (copy == before).all()  # the input is not modified
-            assert rref.shape == stack.shape and rref.dtype == np.int64
+            assert rref.shape == stack.shape and rref.dtype == oracle._rref_dtype(p)
             assert list(zip(rref.tolist(), rank.tolist())) == expect
     assert (rank == stack.shape[1]).all()  # the last stack leaves the elimination early
+
+
+def reference_algebra_key(lift: list[list[int]], n: int, e: int, p: int) -> list[int]:
+    """The algebra key of one lifted M in plain Python: the row codes of the
+    echelon form of the digits of t^j M^k (k < n, j < e), read in the
+    (block row, row, block column) order of the group's codes."""
+    d = n * e
+    power = [[int(r == c) for c in range(d)] for r in range(d)]
+    rows = []
+    for _ in range(n):
+        rows += [[power[R * e + i][C * e + j] for R in range(n) for i in range(e) for C in range(n)]
+                 for j in range(e)]
+        power = [[sum(a * b for a, b in zip(row, column)) % p for column in zip(*lift)] for row in power]
+    form, _ = reference_rref(rows, p)
+    q = p**e
+    weights = [q ** (n * n - 1 - (R * n + C)) * p**i for R in range(n) for i in range(e) for C in range(n)]
+    return [sum(a * w for a, w in zip(row, weights)) for row in form]
+
+
+@pytest.mark.parametrize("n,q", [(1, 9), (2, 4), (2, 5), (2, 9), (2, 13), (3, 2), (3, 3)])
+def test_keys_from_narrow_forms_match_plain_python_forms(monkeypatch, n, q):
+    """With the cap small, so that enumeration, the flags and the census
+    cross-check run over many chunks, the keys read off ``_rref``'s forms in
+    its narrow working dtype (int16 for p = 13, int8 below) equal the row
+    codes of plain-Python forms, and the group, flags and census equal the
+    cached group's, built with the default cap."""
+    cached = gl_group(n, q)
+    cached.cyclic_centralizer_census()
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 2048)
+    group = oracle.GLGroup(n, q)
+    e, p = group.field.e, group.field.p
+    assert group.cyclic_centralizer_census() == cached.cyclic_centralizer_census()
+    assert group.cyclic_flags() == cached.cyclic_flags()
+    assert (group.algebra_keys() == cached.algebra_keys()).all()
+    assert (group.elements == cached.elements).all() and (group.lifted == cached.lifted).all()
+    sample = range(0, group.order, max(1, group.order // 200))
+    for i in sample:
+        assert group.algebra_keys()[i].tolist() == reference_algebra_key(group.lifted[i].tolist(), n, e, p)
+
+
+def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
+    """Traced peaks on GL_3(3), each below four chunk caps plus the bytes
+    the step returns or keeps: building the group and its flags, the census
+    and its cross-check, and the commuting table of the census
+    representatives (the seed), both as one stack and as two."""
+    cap = oracle._CHUNK_BYTES
+
+    def traced(work):
+        tracemalloc.start()
+        try:
+            return work(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def build():
+        group = oracle.GLGroup(3, 3)
+        group.cyclic_flags()
+        return group
+
+    group, peak = traced(build)
+    flags = group.cyclic_flags()
+    kept = group.elements.nbytes + group.lifted.nbytes + group.algebra_keys().nbytes + sys.getsizeof(flags)
+    assert peak < 4 * cap + kept
+    reps, peak = traced(group.cyclic_centralizer_census)
+    assert len(reps) == 1067
+    assert peak < 4 * cap + sys.getsizeof(reps) + sum(map(sys.getsizeof, reps))
+    seed = group.lifted[list(reps)]
+    for other in (seed, seed.copy()):
+        table, peak = traced(lambda: commuting_table(seed, other, 3))
+        assert peak < 4 * cap + table.nbytes
 
 
 @pytest.mark.parametrize("n,q", [(1, 4), (2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (3, 2)])
@@ -1020,7 +1097,7 @@ def test_mats_view_decodes_the_elements(monkeypatch, n, q):
     """Every read of ``mats`` decodes ``elements`` afresh, and a fresh group
     keeps no matrix after a full iteration, run here over many chunks."""
     group = oracle.GLGroup(n, q)
-    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 40)
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 320)  # 40 / n^2 elements a chunk
     expect = [FqMatrix(group.field, tuple(map(tuple, rows)))
               for rows in group.decode(group.elements).tolist()]
     view = group.mats
