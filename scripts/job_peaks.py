@@ -6,15 +6,18 @@ Runs one pass of the workload in this process, with the same job list,
 sampler seed and reference digests as ``perfbench/worker.py``, and prints
 one line per job: its seconds, the process's peak resident set
 (``ru_maxrss``) and its current resident set (from ``/proc/self/statm``,
-so Linux only) after the job, the ``tracemalloc`` peak inside the job, all
-in MiB, and whether the job's outcome matched its reference digest.  The
-job at which the peak first reaches its final value is the one that sets
-the pass's ``peak_rss_mib``.  The traced peak is the largest that the
-job's own allocations, numpy arrays and Python objects alike, reached
-above what was allocated before it: the transient that the allocator may
-keep resident after the job.  Tracing costs time and memory, so the traced
-peaks come from a second pass in a fresh interpreter, and the other
-columns are those of the untraced pass.
+so Linux only) after the job, the ``tracemalloc`` peak inside the job and
+the ``tracemalloc`` current after it, all in MiB, and whether the job's
+outcome matched its reference digest.  The job at which the peak first
+reaches its final value is the one that sets the pass's ``peak_rss_mib``.
+The traced peak is the largest that allocations, numpy arrays and Python
+objects alike, reached during the job above what was allocated when it
+began: the transient that the allocator may keep resident after the job.
+The live column is what the pass's own allocations still hold after the
+job, such as the cached groups: the resident share of the peak.  Tracing
+costs time and memory, so both traced columns come from a second pass in a
+fresh interpreter, traced from its first job on, and the other columns are
+those of the untraced pass.
 
 It reads ``perfbench/workloads.py`` and ``worker.py`` as they are and writes
 nothing: no bytecode is cached, so nothing appears under ``perfbench/``.
@@ -52,30 +55,38 @@ def current_mib() -> float:
 
 
 def job_peaks(workload: str, seed: int, scale: str, trace: bool = False):
-    """Yield (job id, seconds, peak MiB, current MiB, traced MiB, matched)
-    per job of one pass; the traced peak is None unless ``trace``."""
+    """Yield (job id, seconds, peak MiB, current MiB, traced MiB, live MiB,
+    matched) per job of one pass; the traced columns are None unless
+    ``trace``, which traces the pass from its first job on."""
     reference = worker.load_reference()
     jobs = workloads.WORKLOADS[workload](scale, workloads.Sampler(f"{workload}:{seed}"))
     ctx: dict = {}
+    if trace:
+        tracemalloc.start()
+    traced = live = None
     for job in jobs:
         if trace:
-            tracemalloc.start()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
         start = time.perf_counter()
         try:
             outcome = workloads.run_job(job, ctx)
         except Exception as exc:  # as in worker.py, a crashed job is a failed job
             outcome = f"error: {exc!r}"
         seconds = time.perf_counter() - start
-        traced = tracemalloc.get_traced_memory()[1] / 2**20 if trace else None
-        tracemalloc.stop()
-        yield job.id, seconds, peak_mib(), current_mib(), traced, outcome == reference.get(job.id)
+        if trace:
+            current, peak = tracemalloc.get_traced_memory()
+            traced, live = (peak - before) / 2**20, current / 2**20
+        yield job.id, seconds, peak_mib(), current_mib(), traced, live, outcome == reference.get(job.id)
+    tracemalloc.stop()
 
 
-def traced_peaks(workload: str, seed: int, scale: str) -> list[float]:
-    """The traced peak of every job, from a traced pass in a fresh interpreter."""
+def traced_columns(workload: str, seed: int, scale: str) -> list[tuple[float, float]]:
+    """The traced peak and live MiB of every job, from a traced pass in a
+    fresh interpreter."""
     proc = subprocess.run([sys.executable, __file__, workload, str(seed), "--scale", scale, "--traced"],
                           capture_output=True, text=True, check=True)
-    return [float(line) for line in proc.stdout.split()]
+    return [(float(traced), float(live)) for traced, live in map(str.split, proc.stdout.splitlines())]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,21 +94,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("seed", type=int)
     parser.add_argument("--scale", choices=workloads.SCALES, default="full")
-    # the traced pass: print only each job's traced peak, one a line
+    # the traced pass: print only each job's traced peak and live MiB, one job a line
     parser.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.traced:
-        for *_, traced, _ in job_peaks(args.workload, args.seed, args.scale, trace=True):
-            print(traced)
+        for *_, traced, live, _ in job_peaks(args.workload, args.seed, args.scale, trace=True):
+            print(traced, live)
         return 0
-    print(f"{'seconds':>8} {'peak_mib':>9} {'rss_mib':>8} {'traced_mib':>10}  ok  job")
-    print(f"{'':>8} {peak_mib():9.2f} {current_mib():8.2f} {'':>10}      (before the first job)")
+    print(f"{'seconds':>8} {'peak_mib':>9} {'rss_mib':>8} {'traced_mib':>10} {'live_mib':>8}  ok  job")
+    print(f"{'':>8} {peak_mib():9.2f} {current_mib():8.2f} {'':>10} {'':>8}      (before the first job)")
     rows = list(job_peaks(args.workload, args.seed, args.scale))
     failed = 0
-    for (job_id, seconds, peak, current, _, ok), traced in zip(rows, traced_peaks(args.workload, args.seed,
-                                                                                args.scale)):
+    for (job_id, seconds, peak, current, *_, ok), (traced, live) in zip(
+            rows, traced_columns(args.workload, args.seed, args.scale)):
         failed += not ok
-        print(f"{seconds:8.3f} {peak:9.2f} {current:8.2f} {traced:10.2f}  {'yes' if ok else 'NO '} {job_id}")
+        print(f"{seconds:8.3f} {peak:9.2f} {current:8.2f} {traced:10.2f} {live:8.2f}"
+              f"  {'yes' if ok else 'NO '} {job_id}")
     return 1 if failed else 0
 
 

@@ -12,12 +12,15 @@ kept as its code (its n^2 entries as base-q digits, row-major), enumerated
 in ascending code order beside its lift.  A cached group holds only such
 arrays and scalars: ``GLGroup.mats``, the elements as ``FqMatrix``, is a view
 decoded from the codes on every read, and nothing keeps what it decodes.
+Codes and the row codes of algebra keys are below q^(n^2), so both are kept
+in the narrowest signed dtype holding q^(n^2) - 1 (int16 for GL_3(3), int32
+for GL_4(2)); the cyclic flags are one bool array.
 
 Residues are stored narrow, and no product is formed in the narrow dtype: a
 group's lifts are gathered and kept in the narrowest signed dtype holding
 p - 1 (int8 for p <= 127) and widened before every product, to int64 or to
 an exact float.  ``Fq.lift`` returns int64 by default, as the polynomial
-checks multiply its results as they are.  The powers in ``cyclic_flags``,
+checks multiply its results as they are.  The powers behind the cyclic flags,
 the census cross-check and the two all-pairs scans are products of
 residues run in floating point where every partial sum is an integer the
 float holds exactly: float32 below 2^24, float64 below 2^53, and a
@@ -498,13 +501,14 @@ class MatrixView(Sequence):
 
 class GLGroup:
     """Fully enumerated GL_n(q), each element stored once: ``elements`` holds
-    the int64 codes in ascending order, ``lifted`` their lifts over F_p in the
-    narrowest signed dtype holding p - 1, widened before any product.  Both
-    are read-only, as ``gl_group`` hands one cached group to every caller,
-    and a group holds nothing else per element but the flags and keys that
-    ``cyclic_flags`` forms.  ``mats`` is a ``MatrixView`` of the elements as
-    ``FqMatrix``, made and decoded anew on every read, for perfbench and the
-    tests; no package path reads it."""
+    the codes in ascending order, in the narrowest signed dtype holding
+    q^(n^2) - 1, and ``lifted`` their lifts over F_p in the narrowest signed
+    dtype holding p - 1, widened before any product.  Both are read-only, as
+    ``gl_group`` hands one cached group to every caller, and a group holds
+    nothing else per element but the bool flags and the keys, in the codes'
+    dtype, that ``_flags`` forms.  ``mats`` is a ``MatrixView`` of the
+    elements as ``FqMatrix``, made and decoded anew on every read, for
+    perfbench and the tests; no package path reads it."""
 
     def __init__(self, n: int, q: int):
         self.n = n
@@ -516,21 +520,21 @@ class GLGroup:
         # place of entry (r, c) in a code: q^(n^2 - 1 - (rn + c)); digit i of it weighs p^i more
         self._place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
         self._weights = (self._place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
-        residue = _signed_dtype(p - 1)
+        residue, code_dtype = _signed_dtype(p - 1), _signed_dtype(q ** (n * n) - 1)
         elements, lifted = [], []
         # the widest array is the int64 entries or _rref's working stack
         for s in _slices(q ** (n * n), max(8 * n * n, d * d * _rref_dtype(p).itemsize)):
             code = np.arange(s.start, s.stop)
             lift = self.field.lift(self.decode(code), residue)
             invertible = _rref(lift, p)[1] == d
-            elements.append(code[invertible])
+            elements.append(code[invertible].astype(code_dtype))
             lifted.append(lift[invertible])
         self.elements = np.concatenate(elements)
         self.lifted = np.concatenate(lifted)
         self.elements.flags.writeable = self.lifted.flags.writeable = False
         if len(self.elements) != self.order:
             raise AssertionError("enumeration does not match the group order")
-        self._cyclic: tuple[bool, ...] | None = None
+        self._cyclic: np.ndarray | None = None
         self._keys: np.ndarray | None = None
         self._census: tuple[int, ...] | None = None
 
@@ -554,10 +558,15 @@ class GLGroup:
         """Indices of the scalars cI, c = 1..q-1, ascending: the code of cI is c
         times the sum of the diagonal places, so the identity comes first."""
         diagonal = int(self._place[:: self.n + 1].sum())
-        codes = diagonal * np.arange(1, self.q, dtype=np.int64)
+        codes = diagonal * np.arange(1, self.q, dtype=self.elements.dtype)
         return tuple(np.searchsorted(self.elements, codes).tolist())
 
     def cyclic_flags(self) -> tuple[bool, ...]:
+        """Whether each element M is cyclic, as a new tuple on every call; the
+        group keeps them as the one read-only bool array of ``_flags``."""
+        return tuple(self._flags().tolist())
+
+    def _flags(self) -> np.ndarray:
         """Whether each element M is cyclic: the F_p-span of the t^j M^k
         (j < e, k < n), which is F_q[M] of dimension e deg(min poly of M), has
         rank ne.  Their digits are columns j of the blocks of the lifted M^k.
@@ -566,18 +575,19 @@ class GLGroup:
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
-            real = _exact_dtypes(d * (p - 1) ** 2)[0]
+            real = np.dtype(_exact_dtypes(d * (p - 1) ** 2)[0])
             flags = np.empty(self.order, dtype=bool)
-            keys = np.empty((self.order, d), dtype=np.int64)
-            # the widest array is a float power or _rref's working stack of the span
-            for s in _slices(self.order, d * d * max(np.dtype(real).itemsize, n * _rref_dtype(p).itemsize)):
+            keys = np.empty((self.order, d), dtype=self.elements.dtype)
+            # every partial sum of a row code is below q^(n^2), so einsum runs in the keys' dtype
+            weights = self._weights.astype(keys.dtype)
+            # the widest arrays are the two float casts and the product of a
+            # power, or _rref's working stack of the span
+            for s in _slices(self.order, d * d * max(3 * real.itemsize, n * _rref_dtype(p).itemsize)):
                 rref, rank = _rref(self._algebra_span(self.lifted[s]), p)
                 flags[s] = rank == d
-                # einsum widens the forms to int64 in its own buffers
-                np.einsum("brj,j->br", rref, self._weights, out=keys[s])
-            self._cyclic = tuple(flags.tolist())
-            self._keys = keys
-            self._keys.flags.writeable = False
+                np.einsum("brj,j->br", rref, weights, out=keys[s], casting="unsafe")
+            flags.flags.writeable = keys.flags.writeable = False
+            self._cyclic, self._keys = flags, keys
         return self._cyclic
 
     def _algebra_span(self, lifts: np.ndarray) -> np.ndarray:
@@ -602,8 +612,8 @@ class GLGroup:
 
     def algebra_keys(self) -> np.ndarray:
         """One read-only row per element M, the row codes of the echelon form
-        of F_q[M] that ``cyclic_flags`` forms: equal rows, equal algebras."""
-        self.cyclic_flags()
+        of F_q[M] that ``_flags`` forms: equal rows, equal algebras."""
+        self._flags()
         return self._keys
 
     def commuting_indices(self, M: FqMatrix) -> tuple[int, ...]:
@@ -619,7 +629,7 @@ class GLGroup:
         commutes with the representative of its key.  The result is kept,
         so the keys are sorted and cross-checked once per group."""
         if self._census is None:
-            cyclic = np.flatnonzero(self.cyclic_flags())
+            cyclic = np.flatnonzero(self._flags())
             first, key = key_classes(self.algebra_keys()[cyclic])
             owner = cyclic[first][key]
             p, d = self.field.p, self.lifted.shape[-1]
@@ -751,7 +761,7 @@ def wall_bound_task(n: int, q: int, budget: Budget | None = None):
     """(the exact fraction of cyclic elements of GL_n(q), its two lower
     bounds by name, whether it meets the first and exceeds the second)."""
     group = gl_group(n, q, budget)
-    c = Fraction(sum(group.cyclic_flags()), group.order)
+    c = Fraction(int(group._flags().sum()), group.order)
     qf = Fraction(q)
     bounds = {
         "estimate_minus_error": (1 - qf**-5) / (1 + qf**-3) - Fraction(1, q**n * (q - 1)),
@@ -834,6 +844,5 @@ def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int, int, boo
     order is 16 and no member is cyclic) for the GL_4(2) witness."""
     expect = 16
     cset = centralizer(noncyclic_centralizer_witness(), budget)
-    flags = gl_group(4, 2, budget).cyclic_flags()
-    cyclic_members = sum(flags[i] for i in cset.members)
+    cyclic_members = int(gl_group(4, 2, budget)._flags()[list(cset.members)].sum())
     return cset.order, expect, cyclic_members, cset.order == expect and cyclic_members == 0

@@ -97,15 +97,19 @@ def test_job_peaks_prints_every_job_of_a_smoke_pass_and_writes_nothing():
                            "5", "--scale", "smoke"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["seconds", "peak_mib", "rss_mib", "traced_mib", "ok", "job"]
+    assert lines[0].split() == ["seconds", "peak_mib", "rss_mib", "traced_mib", "live_mib", "ok", "job"]
     jobs = [line.split() for line in lines[2:]]
-    assert jobs and all(len(job) == 6 and job[4] == "yes" for job in jobs)
-    assert jobs[0][5] == "oracle.gl_group(2,3)"
-    assert jobs[-1][5] == "oracle.count_cyclic_centralizers(2,3,steps=1000)"
+    assert jobs and all(len(job) == 7 and job[5] == "yes" for job in jobs)
+    assert jobs[0][6] == "oracle.gl_group(2,3)"
+    assert jobs[-1][6] == "oracle.count_cyclic_centralizers(2,3,steps=1000)"
     peaks = [float(job[1]) for job in jobs]
     assert peaks == sorted(peaks) and all(float(job[2]) > 0 for job in jobs)
     # the traced peaks: no job's exceeds the process's peak, and building a
     # group allocates a measurable amount
     traced = [float(job[3]) for job in jobs]
     assert all(0 <= t < peak for t, peak in zip(traced, peaks)) and traced[0] > 0
+    # the live memory: the pass keeps the group it built, and holds less than
+    # the process's peak
+    live = [float(job[4]) for job in jobs]
+    assert all(0 < m < peak for m, peak in zip(live, peaks))
     assert sorted(perfbench.rglob("*")) == before

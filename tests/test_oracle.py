@@ -792,15 +792,28 @@ def test_center_indices():
 # --- the lifted representation against the per-element reference -----------
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
-def test_lift_codes_roundtrip(q):
-    group = gl_group(2, q)
-    codes = group.codes(group.lifted[..., ::group.field.e])
-    assert group.elements.dtype == np.int64
+# GL_2(13) is the widest int16 case (top code 13^4 - 1 = 28 560), GL_4(2)
+# the first past int16 (top code 2^16 - 1 = 65 535 > 32 767)
+ROUNDTRIP = [(2, 2), (2, 3), (2, 4), (2, 8), (2, 9), (2, 13), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q", ROUNDTRIP, ids=[str(q) if n == 2 else f"{n}-{q}" for n, q in ROUNDTRIP])
+def test_lift_codes_roundtrip(n, q):
+    """Codes and algebra keys are stored in the narrowest signed dtype
+    holding q^(n^2) - 1, and hold the values the int64 arithmetic gives."""
+    group = gl_group(n, q)
+    e, p = group.field.e, group.field.p
+    codes = group.codes(group.lifted[..., ::e])
+    dtype = oracle._signed_dtype(q ** (n * n) - 1)
+    assert group.elements.dtype == dtype
     assert (np.diff(group.elements) > 0).all()
     assert (codes == group.elements).all()
     assert codes.tolist() == [encode(M) for M in group.mats]
-    assert group.lifted.shape[1:] == (2 * group.field.e,) * 2
+    assert group.lifted.shape[1:] == (n * e,) * 2
+    forms = oracle._rref(group._algebra_span(group.lifted), p)[0].astype(np.int64)
+    keys = group.algebra_keys()
+    assert keys.dtype == dtype
+    assert (keys == np.einsum("brj,j->br", forms, group._weights)).all()
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -1010,11 +1023,20 @@ def test_keys_from_narrow_forms_match_plain_python_forms(monkeypatch, n, q):
         assert group.algebra_keys()[i].tolist() == reference_algebra_key(group.lifted[i].tolist(), n, e, p)
 
 
+def held_bytes(group) -> int:
+    """The bytes of the arrays a group keeps per element: codes, lifts,
+    algebra keys and cyclic flags."""
+    return group.elements.nbytes + group.lifted.nbytes + group.algebra_keys().nbytes + group._flags().nbytes
+
+
 def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
     """Traced peaks on GL_3(3), each below four chunk caps plus the bytes
     the step returns or keeps: building the group and its flags, the census
     and its cross-check, and the commuting table of the census
-    representatives (the seed), both as one stack and as two."""
+    representatives (the seed), both as one stack and as two.  What the
+    group keeps is exact: int16 codes, 9 int8 residues, 3 int16 key row
+    codes and one bool per element of GL_3(3), and int32 codes and keys
+    with 16 residues and one bool per element of GL_4(2)."""
     cap = oracle._CHUNK_BYTES
 
     def traced(work):
@@ -1030,8 +1052,9 @@ def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
         return group
 
     group, peak = traced(build)
-    flags = group.cyclic_flags()
-    kept = group.elements.nbytes + group.lifted.nbytes + group.algebra_keys().nbytes + sys.getsizeof(flags)
+    kept = held_bytes(group)
+    assert kept == 11_232 * (2 + 9 + 6 + 1) == 202_176
+    assert held_bytes(gl_group(4, 2)) == 20_160 * (4 + 16 + 16 + 1) == 745_920
     assert peak < 4 * cap + kept
     reps, peak = traced(group.cyclic_centralizer_census)
     assert len(reps) == 1067
@@ -1204,7 +1227,7 @@ def test_lifts_are_stored_as_int8_residues(n, q):
 def test_elements_and_lifts_are_read_only():
     # the cached group is shared by every caller, so no caller may write to it
     group = gl_group(2, 3)
-    for array in (group.elements, group.lifted):
+    for array in (group.elements, group.lifted, group.algebra_keys(), group._flags()):
         with pytest.raises(ValueError):
             array[0] = 1
 
