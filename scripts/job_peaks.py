@@ -4,11 +4,14 @@
 
 Runs one pass of the workload in this process, with the same job list,
 sampler seed and reference digests as ``perfbench/worker.py``, and prints
-one line per job: its seconds, the process's peak resident set
-(``ru_maxrss``) and its current resident set (from ``/proc/self/statm``,
-so Linux only) after the job, the ``tracemalloc`` peak inside the job and
-the ``tracemalloc`` current after it, all in MiB, and whether the job's
-outcome matched its reference digest.  The job at which the peak first
+one line per job: its seconds; the CPU seconds (user and system) that
+threads other than the main one spent during it, such as OpenBLAS's
+workers, read from ``/proc/self/task/<tid>/stat``; the process's peak
+resident set (``ru_maxrss``) and its current resident set (from
+``/proc/self/statm``) after the job, the ``tracemalloc`` peak inside the
+job and the ``tracemalloc`` current after it, all in MiB; and whether the
+job's outcome matched its reference digest.  Both ``/proc`` reads make the
+script Linux only.  The job at which the peak first
 reaches its final value is the one that sets the pass's ``peak_rss_mib``.
 The traced peak is the largest that allocations, numpy arrays and Python
 objects alike, reached during the job above what was allocated when it
@@ -43,6 +46,7 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 PAGE_MIB = os.sysconf("SC_PAGE_SIZE") / 2**20
+CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
 
 
 def peak_mib() -> float:
@@ -54,10 +58,29 @@ def current_mib() -> float:
         return int(statm.read().split()[1]) * PAGE_MIB
 
 
+def other_cpu_s() -> float:
+    """The user and system CPU seconds that every live thread of this
+    process but the main one has spent so far.  A thread's utime and stime
+    are fields 14 and 15 of its stat line, counted from the state after the
+    parenthesised name, which may itself hold spaces."""
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has ended since the listing
+            continue
+        ticks += int(fields[11]) + int(fields[12])
+    return ticks / CLOCK_TICKS
+
+
 def job_peaks(workload: str, seed: int, scale: str, trace: bool = False):
-    """Yield (job id, seconds, peak MiB, current MiB, traced MiB, live MiB,
-    matched) per job of one pass; the traced columns are None unless
-    ``trace``, which traces the pass from its first job on."""
+    """Yield (job id, seconds, other threads' CPU seconds, peak MiB, current
+    MiB, traced MiB, live MiB, matched) per job of one pass; the traced
+    columns are None unless ``trace``, which traces the pass from its first
+    job on."""
     reference = worker.load_reference()
     jobs = workloads.WORKLOADS[workload](scale, workloads.Sampler(f"{workload}:{seed}"))
     ctx: dict = {}
@@ -68,16 +91,18 @@ def job_peaks(workload: str, seed: int, scale: str, trace: bool = False):
         if trace:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
+        other_start = other_cpu_s()
         start = time.perf_counter()
         try:
             outcome = workloads.run_job(job, ctx)
         except Exception as exc:  # as in worker.py, a crashed job is a failed job
             outcome = f"error: {exc!r}"
         seconds = time.perf_counter() - start
+        other = other_cpu_s() - other_start
         if trace:
             current, peak = tracemalloc.get_traced_memory()
             traced, live = (peak - before) / 2**20, current / 2**20
-        yield job.id, seconds, peak_mib(), current_mib(), traced, live, outcome == reference.get(job.id)
+        yield job.id, seconds, other, peak_mib(), current_mib(), traced, live, outcome == reference.get(job.id)
     tracemalloc.stop()
 
 
@@ -101,14 +126,15 @@ def main(argv: list[str] | None = None) -> int:
         for *_, traced, live, _ in job_peaks(args.workload, args.seed, args.scale, trace=True):
             print(traced, live)
         return 0
-    print(f"{'seconds':>8} {'peak_mib':>9} {'rss_mib':>8} {'traced_mib':>10} {'live_mib':>8}  ok  job")
-    print(f"{'':>8} {peak_mib():9.2f} {current_mib():8.2f} {'':>10} {'':>8}      (before the first job)")
+    print(f"{'seconds':>8} {'other_cpu_s':>11} {'peak_mib':>9} {'rss_mib':>8} {'traced_mib':>10} {'live_mib':>8}"
+          "  ok  job")
+    print(f"{'':>8} {'':>11} {peak_mib():9.2f} {current_mib():8.2f} {'':>10} {'':>8}      (before the first job)")
     rows = list(job_peaks(args.workload, args.seed, args.scale))
     failed = 0
-    for (job_id, seconds, peak, current, *_, ok), (traced, live) in zip(
+    for (job_id, seconds, other, peak, current, *_, ok), (traced, live) in zip(
             rows, traced_columns(args.workload, args.seed, args.scale)):
         failed += not ok
-        print(f"{seconds:8.3f} {peak:9.2f} {current:8.2f} {traced:10.2f} {live:8.2f}"
+        print(f"{seconds:8.3f} {other:11.2f} {peak:9.2f} {current:8.2f} {traced:10.2f} {live:8.2f}"
               f"  {'yes' if ok else 'NO '} {job_id}")
     return 1 if failed else 0
 

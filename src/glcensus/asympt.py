@@ -41,6 +41,13 @@ lo / r >= lo, so RatInterval.from_ratio(lo, r) checks only the sign of lo
 and the range of r.  The plain RatInterval(lo, hi) constructor keeps the
 full lo <= hi comparison for every other caller.
 
+Size: both a^P and D are below a^P < 2^(P * a.bit_length()), so that
+product bounds the bits of either endpoint integer.  P has the closed form
+sum_k k e_k = (T^2 + T (2K + 1) / 3) / 2 + T, T = K (K + 1) / 2, so the bound
+is known before any product is formed, and l_of_q refuses a request whose
+bound passes MAX_ENDPOINT_BITS with EndpointSizeError: such a^P grows as
+K^4 / 8 * log2(a), and at K = 1000, q = 2 would need about 10^11 bits.
+
 scaled_coefficients gives the sequence itself, q^n b_n for n = 0..upto: the
 one producer of those values for the monotonicity and convergence checks.
 """
@@ -55,6 +62,12 @@ from glcensus.census import ConsistencyError, b_coefficient
 
 DEFAULT_TERMS = 30
 
+# The ceiling on the predicted bits of l_of_q's endpoint integers, 2 MiB
+# each.  The deepest request the package makes, l_of_q(3, 45), is predicted
+# at 1 104 690 bits (the numerator 3^P has 875 447); l_of_q(3, 85), predicted
+# at 13 574 670, is admitted and took 3 s on a 2-CPU x86-64 machine.
+MAX_ENDPOINT_BITS = 2**24
+
 HOLDS = "holds"
 FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
@@ -62,6 +75,10 @@ INCONCLUSIVE = "inconclusive"
 
 class DivergenceError(ValueError):
     """The defining product diverges (q <= 1) or the tail bound is unusable."""
+
+
+class EndpointSizeError(ValueError):
+    """The exact endpoints of l_of_q would pass MAX_ENDPOINT_BITS."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +110,14 @@ class RatInterval:
 
 def _exponent(k: int) -> int:
     return k * (k + 1) // 2 + 1
+
+
+def _numerator_power(terms: int) -> int:
+    """P = sum_{k <= terms} k e_k, in closed form: with T = sum k and
+    sum k^3 = T^2, sum k^2 = T (2 terms + 1) / 3, it is
+    (sum k^3 + sum k^2) / 2 + T, and k^3 + k^2 = k^2 (k + 1) is even."""
+    t = terms * (terms + 1) // 2
+    return (t * t + t * (2 * terms + 1) // 3) // 2 + t
 
 
 def _power_fraction(base: int, power: int, den: int) -> Fraction:
@@ -130,13 +155,21 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     integer pair a^P / D described in the module docstring; hi multiplies in
     the rational tail bound.  Widths shrink monotonically as terms grows.
     Raises DivergenceError for q <= 1 or a tail bound >= 1, ValueError for
-    terms < 1, and ConsistencyError if a^P / D fails its lowest-terms check.
+    terms < 1, EndpointSizeError, before any product, if the size bound
+    P * a.bit_length() of a^P and D passes MAX_ENDPOINT_BITS, and
+    ConsistencyError if a^P / D fails its lowest-terms check.
     """
     q = Fraction(q)
     if q <= 1:
         raise DivergenceError("the product diverges for q <= 1")
     if terms < 1:
         raise ValueError("need at least one product term")
+    a, b = q.numerator, q.denominator
+    power = _numerator_power(terms)
+    bits = power * a.bit_length()
+    if bits > MAX_ENDPOINT_BITS:
+        raise EndpointSizeError(f"l(q) with {terms} terms needs endpoints of up to {bits} bits, "
+                                f"over the limit of {MAX_ENDPOINT_BITS}")
     x = 1 / q
     y = 1 - x
     x_next = x ** (terms + 1)
@@ -145,9 +178,7 @@ def l_of_q(q: Fraction | int, terms: int = DEFAULT_TERMS) -> RatInterval:
     log_bound = tail_sum / (1 - x_next)
     if log_bound >= 1:
         raise DivergenceError("tail bound too large; increase the number of terms")
-    a, b = q.numerator, q.denominator
     ks = range(1, terms + 1)
-    power = sum(k * _exponent(k) for k in ks)
     den = _power_product([a**k - b**k for k in ks], [_exponent(k) for k in ks])
     partial = _power_fraction(a, power, den)
     return RatInterval.from_ratio(partial, 1 - log_bound)

@@ -12,9 +12,10 @@ and take no --budget.
 
 Exit codes: 0 on success; 1 when a check or search the command ran fails;
 2 when the request is refused or invalid (bad input or usage, a path that
-cannot be opened, a budget, a regime with no closed formula), which prints
-one line of JSON {"error": ...} on stdout.  A budget refused by any verify
-check refuses the whole verify request, with exit 2.
+cannot be opened, a budget, a regime with no closed formula, l(q) endpoints
+over asympt.MAX_ENDPOINT_BITS), which prints one line of JSON {"error": ...}
+on stdout.  A budget refused by any verify check refuses the whole verify
+request, with exit 2.
 """
 
 from __future__ import annotations

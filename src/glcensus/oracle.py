@@ -26,14 +26,27 @@ residues run in floating point where every partial sum is an integer the
 float holds exactly: float32 below 2^24, float64 below 2^53, and a
 ValueError before any product beyond that.
 ``commuting_tiles`` goes through the commutator operator: in row-major vec,
-vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a tile of X
-against a tile of S is one (B d^2, d^2) @ (d^2, C) product of residues,
-whose partial sums are at most d^2 (p-1)^2, and X_i commutes with S_j
-exactly when column j of the block of X_i is 0 mod p.  The census
-cross-check multiplies its pairs of lifts both ways, with partial sums at
-most d (p-1)^2.  ``normalizer_of_set`` forms only column 0 of each e x e
-block of gC, Cg and g c0, the digits a code reads: one product each, with
-partial sums at most d (p-1)^2.
+vec(XS - SX) = K_X vec(S) with K_X = X (x) I - I (x) X^T, so a tile of B
+elements X against C elements S is the stack K (B, d^2, d^2) @ vec(S)
+(d^2, C) of products of residues, whose partial sums are at most
+d^2 (p-1)^2, and X_i commutes with S_j exactly when column j of K_i vec(S)
+is 0 mod p.  The census cross-check multiplies its pairs of lifts both
+ways, with partial sums at most d (p-1)^2.  ``normalizer_of_set`` forms
+only column 0 of each e x e block of gC, Cg and g c0, the digits a code
+reads, for a chunk of b elements g: Cg as the stack of members C (c, d, d)
+against the block columns (d, b n) of the g, and gC as the stack G
+(b, d, d) against the block columns (d, c n) of the members, with partial
+sums at most d (p-1)^2.
+
+Every float product is such a stack of per-element products (with at most
+_TILE_COLUMNS columns each in a commuting tile), never one large 2-D
+product of concatenated elements: OpenBLAS, numpy's BLAS, runs a 2-D
+product past about 2.6e5 multiply-adds on its worker threads, which cost a
+fresh process up to a third of a second of waiting and a resident buffer,
+and each small product of a stack on the calling thread.  Each
+product is reduced mod p in the narrowest signed dtype holding its
+partial-sum bound plus p (``_exact_dtypes``): int8 for the commuting scans
+of GL_3(3), GL_2(8) and GL_4(2).
 
 All group work runs in chunks of a stack, sized in bytes: each step passes
 ``_slices`` the bytes per item of the widest array it allocates, so that
@@ -288,26 +301,33 @@ def noncyclic_centralizer_witness() -> FqMatrix:
 _CHUNK_BYTES = 512 * 1024
 
 
-def _slices(count: int, bytes_per_item: int, start: int = 0):
+def _slices(count: int, bytes_per_item: int, start: int = 0, most: int | None = None):
     """Consecutive slices of range(start, count), each of as many items as
-    fit _CHUNK_BYTES at bytes_per_item, and at least one."""
+    fit _CHUNK_BYTES at bytes_per_item, and at least one, but no more than
+    ``most`` if it is given."""
     step = max(1, _CHUNK_BYTES // max(1, bytes_per_item))
+    if most is not None:
+        step = min(step, most)
     return (slice(i, min(i + step, count)) for i in range(start, count, step))
-
-
-def _exact_dtypes(bound: int):
-    """(float dtype, integer dtype) for a product of residues whose partial
-    sums are integers in [0, bound]: float32 holds every integer below 2^24
-    and float64 every one below 2^53, so either product is exact, and the
-    integer dtype holds the result."""
-    if bound >= 2**53:
-        raise ValueError(f"partial sums up to {bound} exceed the exact float64 range 2^53")
-    return (np.float32, np.int32) if bound < 2**24 else (np.float64, np.int64)
 
 
 def _signed_dtype(bound: int):
     """The narrowest signed integer dtype holding every integer in [0, bound]."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+
+
+def _exact_dtypes(bound: int, p: int):
+    """(float dtype, integer dtype) for a product of residues mod p whose
+    partial sums are integers in [0, bound]: float32 holds every integer
+    below 2^24 and float64 every one below 2^53, so either product is exact.
+    The product is reduced mod p in the integer dtype, the narrowest signed
+    one holding bound + p: that holds the product, and ``_round_down`` of a
+    difference of two products, which reaches down to -bound - (p - 1).
+    The narrower that dtype, the cheaper the reduction: v // p * p takes a
+    third to a quarter of the time in int8 that it takes in int32."""
+    if bound >= 2**53:
+        raise ValueError(f"partial sums up to {bound} exceed the exact float64 range 2^53")
+    return (np.float32 if bound < 2**24 else np.float64), _signed_dtype(bound + p)
 
 
 def _rref_dtype(p: int):
@@ -386,7 +406,7 @@ def _pairs_commute(A: np.ndarray, B: np.ndarray, p: int) -> bool:
     """Whether A_i B_i = B_i A_i mod p for every i, over two stacks of d x d
     matrices over F_p, by one exact float product of the stacked pairs."""
     d = A.shape[-1]
-    real, whole = _exact_dtypes(d * (p - 1) ** 2)
+    real, whole = _exact_dtypes(d * (p - 1) ** 2, p)
     pairs = np.stack([A, B]).astype(real)
     pairs = pairs @ pairs[::-1]  # AB, BA
     return bool(_divisible((pairs[0] - pairs[1]).astype(whole), p).all())
@@ -404,26 +424,31 @@ def commuting_tiles(X: np.ndarray, S: np.ndarray, p: int, above_diagonal: bool =
     meets only the columns after its first row, which still covers every
     pair i < j; its blocks also hold some pairs j <= i, correctly.
 
-    A tile is one product K @ V: K stacks the commutator operators
-    K_X = X (x) I - I (x) X^T mod p, one d^2 x d^2 block per X_i of the
-    row tile, and V holds vec(S_j) mod p in column j of the column tile.
-    Column j of the block of X_i is then congruent to vec(X_i S_j - S_j X_i)
-    mod p, so the pair commutes exactly when every entry of that column is
-    divisible by p.  A tile has _TILE_COLUMNS columns, or all of S if it has
-    fewer, and as many operator blocks as keep the product within
-    _CHUNK_BYTES.
+    A tile is one stack of products K_i @ V: K stacks the commutator
+    operators K_X = X (x) I - I (x) X^T mod p, shape (rows, d^2, d^2), one
+    per X_i of the row tile, and V, shape (d^2, columns), holds vec(S_j)
+    mod p in column j of the column tile.  Column j of K_i @ V is then
+    congruent to vec(X_i S_j - S_j X_i) mod p, so the pair commutes exactly
+    when every entry of that column is divisible by p.  The stack is reduced
+    in the integer dtype of ``_exact_dtypes``.  A tile has _TILE_COLUMNS
+    columns, or all of S if it has fewer, and as many operators as keep the
+    product within _CHUNK_BYTES; a tile of few operators, such as the one
+    of a single X, still has no more columns.  So no product is large:
+    OpenBLAS runs a large 2-D product (rows d^2 against thousands of
+    columns) on its worker threads, and each small per-operator product on
+    the calling one.
     """
     d = X.shape[-1]
-    real, whole = _exact_dtypes(d * d * (p - 1) ** 2)
+    real, whole = _exact_dtypes(d * d * (p - 1) ** 2, p)
     size = np.dtype(real).itemsize
     eye = np.eye(d, dtype=np.int64)
     for rows in _slices(len(X), d * d * min(len(S), _TILE_COLUMNS) * size):
         K = np.einsum("bak,jl->bajkl", X[rows], eye) - np.einsum("ak,blj->bajkl", eye, X[rows])
-        K = (K.reshape(-1, d * d) % p).astype(real)
+        K = (K.reshape(-1, d * d, d * d) % p).astype(real)
         start = rows.start + 1 if above_diagonal else 0
-        for columns in _slices(len(S), len(K) * size, start):
+        for columns in _slices(len(S), len(K) * d * d * size, start, most=_TILE_COLUMNS):
             V = (S[columns].reshape(-1, d * d) % p).astype(real)
-            commute = _divisible((K @ V.T).astype(whole), p).reshape(-1, d * d, len(V)).all(axis=1)
+            commute = _divisible((K @ V.T).astype(whole), p).all(axis=1)
             yield rows, columns, commute
 
 
@@ -575,7 +600,7 @@ class GLGroup:
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
-            real = np.dtype(_exact_dtypes(d * (p - 1) ** 2)[0])
+            real = np.dtype(_exact_dtypes(d * (p - 1) ** 2, p)[0])
             flags = np.empty(self.order, dtype=bool)
             keys = np.empty((self.order, d), dtype=self.elements.dtype)
             # every partial sum of a row code is below q^(n^2), so einsum runs in the keys' dtype
@@ -598,7 +623,7 @@ class GLGroup:
         float product, narrowed once it is reduced."""
         n, e, p = self.n, self.field.e, self.field.p
         d = n * e
-        real, whole = _exact_dtypes(d * (p - 1) ** 2)
+        real, whole = _exact_dtypes(d * (p - 1) ** 2, p)
         span = np.empty((len(lifts), n, e, n, e, n), dtype=lifts.dtype)
         power = np.broadcast_to(np.eye(d, dtype=lifts.dtype), lifts.shape)
         for k in range(n):
@@ -633,7 +658,7 @@ class GLGroup:
             first, key = key_classes(self.algebra_keys()[cyclic])
             owner = cyclic[first][key]
             p, d = self.field.p, self.lifted.shape[-1]
-            size = np.dtype(_exact_dtypes(d * (p - 1) ** 2)[0]).itemsize
+            size = np.dtype(_exact_dtypes(d * (p - 1) ** 2, p)[0]).itemsize
             for s in _slices(len(cyclic), 2 * d * d * size):  # the float pairs
                 if not _pairs_commute(self.lifted[cyclic[s]], self.lifted[owner[s]], p):
                     raise AssertionError("a cyclic element does not commute with its key's representative")
@@ -711,9 +736,13 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
     The condition is tested as the equivalent set equality gC = Cg, on the
     sorted codes of both products, so no inverse is ever formed.  A code
     reads only the block columns (column 0 of each e x e block), so only
-    those n columns of each gc and cg are formed: per chunk of g, one
-    product of the stacked members of C against the block columns of all
-    the g, and one of the g against the block columns of C.
+    those n columns of each gc and cg are formed: per chunk of b elements g,
+    Cg as the stack C (c, d, d) of members against the block columns of all
+    the g, (d, b n), and gC as the stack G (b, d, d) against the block
+    columns of all the members, (d, c n).  Each is a stack of small
+    products, which OpenBLAS runs on the calling thread, not one large 2-D
+    product of concatenated elements, which it would run on its worker
+    threads.  Both are reduced in the integer dtype of ``_exact_dtypes``.
 
     A prefilter keeps only the g with code(g c0) among the codes of Cg, for
     one non-central member c0 of C (any member if all are central): it is
@@ -724,30 +753,28 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
     group = gl_group(cset.n, cset.q, budget)
     n, e, p = group.n, group.field.e, group.field.p
     d = n * e
-    real, whole = _exact_dtypes(d * (p - 1) ** 2)
+    real, whole = _exact_dtypes(d * (p - 1) ** 2, p)
     center = set(group.center_indices())
     c0 = next((i for i in cset.members if i not in center), cset.members[0])
-    C = group.lifted[list(cset.members)]
+    C = group.lifted[list(cset.members)].astype(real)
     c = len(C)
-    C_rows = C.reshape(c * d, d).astype(real)
-    C_cols = C[..., ::e].transpose(1, 0, 2).reshape(d, c * n).astype(real)
+    C_cols = C[..., ::e].transpose(1, 0, 2).reshape(d, c * n)
     c0_cols = group.lifted[c0, :, ::e].astype(real)
     count = 0
     # the widest array is the product cg (or gc), c d n entries per g
     for s in _slices(group.order, c * d * n * np.dtype(real).itemsize):
         G = group.lifted[s].astype(real)
         b = len(G)
-        # cg: rows (c, r), columns (g, j); gc: rows (g, r), columns (c, j)
-        cg = (C_rows @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n)).astype(whole)
+        # cg: (c, r, (g, j)); gc: (g, r, (c, j))
+        cg = (C @ G[..., ::e].transpose(1, 0, 2).reshape(d, b * n)).astype(whole)
         cg -= _round_down(cg, p)
         cg = group.codes(cg.reshape(c, d, b, n).transpose(2, 0, 1, 3))
         gc0 = (G @ c0_cols).astype(whole)
         gc0 -= _round_down(gc0, p)
         keep = (cg == group.codes(gc0)[:, None]).any(axis=1)
-        G, b = G[keep], int(keep.sum())
-        gc = (G.reshape(b * d, d) @ C_cols).astype(whole)
+        gc = (G[keep] @ C_cols).astype(whole)
         gc -= _round_down(gc, p)
-        gc = gc.reshape(b, d, c, n).transpose(0, 2, 1, 3)
+        gc = gc.reshape(-1, d, c, n).transpose(0, 2, 1, 3)
         same = np.sort(group.codes(gc), axis=1) == np.sort(cg[keep], axis=1)
         count += int(same.all(axis=1).sum())
     return count

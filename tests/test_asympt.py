@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,12 @@ import pytest
 from glcensus.asympt import (
     HOLDS,
     INCONCLUSIVE,
+    MAX_ENDPOINT_BITS,
     DivergenceError,
+    EndpointSizeError,
     RatInterval,
+    _exponent,
+    _numerator_power,
     _power_fraction,
     _power_product,
     check_estimates,
@@ -75,6 +80,43 @@ def test_l_of_q_raises_what_the_fraction_loop_raises(q, terms):
     expected = _outcome(fraction_loop_l_of_q, q, terms)
     assert isinstance(expected, tuple)
     assert _outcome(l_of_q, q, terms) == expected
+
+
+def endpoint_bits(q, terms):
+    """l_of_q's bound on the bits of a^P and D: P * a.bit_length()."""
+    return _numerator_power(terms) * Fraction(q).numerator.bit_length()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, Fraction(3, 2), Fraction(101, 100)], ids=str)
+def test_endpoint_bits_bound_both_endpoint_integers(q):
+    # the closed form of P, and a bound at most twice the bits it bounds
+    a = Fraction(q).numerator
+    for terms in range(1, 13):
+        power = _numerator_power(terms)
+        assert power == sum(k * _exponent(k) for k in range(1, terms + 1))
+        bits = (a**power).bit_length()
+        assert bits <= endpoint_bits(q, terms) <= 2 * bits
+        try:
+            lo = l_of_q(q, terms).lo
+        except DivergenceError:  # the tail bound is unusable at so few terms
+            continue
+        assert max(lo.numerator.bit_length(), lo.denominator.bit_length()) <= endpoint_bits(q, terms)
+
+
+def test_l_of_q_admits_every_request_the_package_makes():
+    # l_of_q(3, 45) is the deepest: perfbench's series-limits workload
+    assert endpoint_bits(3, 45) == 1_104_690 <= MAX_ENDPOINT_BITS
+    assert endpoint_bits(Fraction(101, 100), 30) <= MAX_ENDPOINT_BITS
+    assert endpoint_bits(7, 30) <= MAX_ENDPOINT_BITS
+
+
+@pytest.mark.parametrize("q, terms", [(2, 1000), (3, 10**9), (Fraction(101, 100), 200)], ids=str)
+def test_l_of_q_refuses_oversized_endpoints_before_any_product(q, terms):
+    start = time.perf_counter()
+    with pytest.raises(EndpointSizeError, match=str(endpoint_bits(q, terms))):
+        l_of_q(q, terms)
+    assert time.perf_counter() - start < 0.1
+    assert issubclass(EndpointSizeError, ValueError)
 
 
 def test_power_fraction_equals_the_reduced_fraction():

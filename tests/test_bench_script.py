@@ -2,6 +2,7 @@
 and one smoke-scale pass of ``scripts/job_peaks.py``."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,19 +98,24 @@ def test_job_peaks_prints_every_job_of_a_smoke_pass_and_writes_nothing():
                            "5", "--scale", "smoke"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["seconds", "peak_mib", "rss_mib", "traced_mib", "live_mib", "ok", "job"]
+    assert lines[0].split() == ["seconds", "other_cpu_s", "peak_mib", "rss_mib", "traced_mib", "live_mib",
+                                "ok", "job"]
     jobs = [line.split() for line in lines[2:]]
-    assert jobs and all(len(job) == 7 and job[5] == "yes" for job in jobs)
-    assert jobs[0][6] == "oracle.gl_group(2,3)"
-    assert jobs[-1][6] == "oracle.count_cyclic_centralizers(2,3,steps=1000)"
-    peaks = [float(job[1]) for job in jobs]
-    assert peaks == sorted(peaks) and all(float(job[2]) > 0 for job in jobs)
+    assert jobs and all(len(job) == 8 and job[6] == "yes" for job in jobs)
+    assert jobs[0][7] == "oracle.gl_group(2,3)"
+    assert jobs[-1][7] == "oracle.count_cyclic_centralizers(2,3,steps=1000)"
+    # the other threads' CPU seconds: never negative, and within what the
+    # machine's CPUs could spend during the job, with two clock ticks of slack
+    for job in jobs:
+        assert 0 <= float(job[1]) <= (os.cpu_count() or 1) * float(job[0]) + 0.02
+    peaks = [float(job[2]) for job in jobs]
+    assert peaks == sorted(peaks) and all(float(job[3]) > 0 for job in jobs)
     # the traced peaks: no job's exceeds the process's peak, and building a
     # group allocates a measurable amount
-    traced = [float(job[3]) for job in jobs]
+    traced = [float(job[4]) for job in jobs]
     assert all(0 <= t < peak for t, peak in zip(traced, peaks)) and traced[0] > 0
     # the live memory: the pass keeps the group it built, and holds less than
     # the process's peak
-    live = [float(job[4]) for job in jobs]
+    live = [float(job[5]) for job in jobs]
     assert all(0 < m < peak for m, peak in zip(live, peaks))
     assert sorted(perfbench.rglob("*")) == before

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,12 +103,22 @@ def test_verify_fast_passes(capsys):
     ["oracle", "--n", "2", "--q", "2", "--task", "centralizer-count", "--budget", "-5"],
     ["oracle", "--n", "2", "--q", "64", "--task", "jm-check"],  # 266 304 candidate polynomials
     ["verify", "--level", "full", "--budget", "1"],  # every oracle check is over budget
+    ["limit", "lq", "--q", "2", "--terms", "1000"],  # endpoints of about 10^11 bits
+    ["limit", "check", "--q", "2", "--terms", "1000"],
 ])
 def test_refused_requests_exit_2_with_one_json_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
     assert "Traceback" not in out + err
+
+
+def test_limit_lq_refuses_oversized_endpoints_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "limit", "lq", "--q", "2", "--terms", "1000")
+    assert time.perf_counter() - start < 0.1
+    # P = 125 417 542 250 for 1000 terms, and 2 has 2 bits
+    assert code == 2 and str(125_417_542_250 * 2) in json.loads(out)["error"]
 
 
 def test_seed_is_an_option_of_verify_only(capsys):

@@ -882,6 +882,33 @@ def test_normalizer_matches_conjugation_on_gl32_and_gl28(n, q, positions):
         assert normalizer_of_set(cset) == normalizer_by_conjugation(group, cset)
 
 
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 2)])
+def test_normalizer_in_chunks_of_one_to_three_elements(monkeypatch, n, q):
+    # with chunks of one element, a chunk whose g moves c0 out of C keeps no
+    # g after the prefilter; some of the centralizers below have such a g
+    group = gl_group(n, q)
+    _, reps = count_cyclic_centralizers(n, q)
+    elements = [group.mats[i] for i in reps[::5]] + [identity(group.field, n)]
+    if n == 3:
+        elements.append(FqMatrix(group.field, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
+    center = set(group.center_indices())
+    emptied = 0
+    d = n * group.field.e
+    for M in elements:
+        cset = centralizer(M)
+        members = frozenset(group.mats[i].rows for i in cset.members)
+        c0 = group.mats[next((i for i in cset.members if i not in center), cset.members[0])]
+        emptied += any(matmul(matmul(g, c0), inverse(g)).rows not in members for g in group.mats)
+        expect = normalizer_by_conjugation(group, cset)
+        for per_chunk in (1, 2, 3):
+            # the products cg are float32 here, cset.order * d * n of them per g
+            assert _exact_dtypes(d * (group.field.p - 1) ** 2, group.field.p)[0] is np.float32
+            monkeypatch.setattr(oracle, "_CHUNK_BYTES", per_chunk * cset.order * d * n * 4)
+            assert normalizer_of_set(cset) == expect
+            monkeypatch.undo()
+    assert emptied
+
+
 @pytest.mark.parametrize("n,q,expected", [(1, 5, 4), (2, 3, 48)])
 def test_normalizer_prefilter_keeps_the_whole_group(n, q, expected):
     # C = C(I) = G: in GL_1(5) every member is central, so the prefilter has
@@ -902,9 +929,10 @@ def reference_commuting(X, S, p):
 
 
 @pytest.mark.parametrize("p,d,real", [(2, 4, np.float32), (7, 3, np.float32),
-                                      (4099, 1, np.float64), (4099, 3, np.float64)])
+                                      (4099, 1, np.float64), (4099, 3, np.float64),
+                                      (2, 6, np.float32), (3, 4, np.float32), (5, 3, np.float32)])
 def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
-    assert _exact_dtypes(d * d * (p - 1) ** 2)[0] is real  # the branch under test
+    assert _exact_dtypes(d * d * (p - 1) ** 2, p)[0] is real  # the branch under test
     monkeypatch.setattr(oracle, "_CHUNK_BYTES", 4096)  # many tiles on both axes
     monkeypatch.setattr(oracle, "_TILE_COLUMNS", 16)
     rng = np.random.default_rng(p + d)
@@ -916,6 +944,9 @@ def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
     S = np.concatenate([X, polys, rng.integers(0, p, (40, d, d))])
     tiles = [(rows, columns) for rows, columns, _ in oracle.commuting_tiles(X, S, p)]
     assert len({rows.start for rows, _ in tiles}) > 2 and len({columns.start for _, columns in tiles}) > 2
+    # no product has more than _TILE_COLUMNS columns, not even a single X's
+    single = [columns for _, columns, _ in oracle.commuting_tiles(X[:1], S, p)]
+    assert max(columns.stop - columns.start for _, columns in tiles + [(None, c) for c in single]) <= 16
     table = commuting_table(X, S, p)
     assert (table == reference_commuting(X, S, p)).all()
     assert table[np.arange(70), 70 + np.arange(70)].all()
@@ -924,15 +955,53 @@ def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
 
 
 def test_exact_dtypes_bounds():
-    assert _exact_dtypes(2**24 - 1) == (np.float32, np.int32)
-    assert _exact_dtypes(2**24) == (np.float64, np.int64)
-    assert _exact_dtypes(2**53 - 1) == (np.float64, np.int64)
+    # the float edges: exact in float32 below 2^24, in float64 below 2^53
+    assert _exact_dtypes(2**24 - 1, 2) == (np.float32, np.int32)
+    assert _exact_dtypes(2**24, 2) == (np.float64, np.int32)
+    assert _exact_dtypes(2**53 - 1, 2) == (np.float64, np.int64)
     with pytest.raises(ValueError):
-        _exact_dtypes(2**53)
+        _exact_dtypes(2**53, 2)
+    # the integer dtype is the narrowest signed one holding bound + p
+    assert _exact_dtypes(2**7 - 1 - 3, 3) == (np.float32, np.int8)
+    assert _exact_dtypes(2**7 - 3, 3) == (np.float32, np.int16)
+    assert _exact_dtypes(2**15 - 1 - 5, 5) == (np.float32, np.int16)
+    assert _exact_dtypes(2**15 - 5, 5) == (np.float32, np.int32)
+    assert _exact_dtypes(2**31 - 1 - 7, 7) == (np.float64, np.int32)
+    assert _exact_dtypes(2**31 - 7, 7) == (np.float64, np.int64)
+    # the commuting bounds d^2 (p - 1)^2 of the cases on either side of int8
+    assert _exact_dtypes(4**2 * 2**2, 3) == (np.float32, np.int8)  # 64 + 3
+    assert _exact_dtypes(6**2 * 1**2, 2) == (np.float32, np.int8)  # 36 + 2
+    assert _exact_dtypes(3**2 * 4**2, 5) == (np.float32, np.int16)  # 144 + 5
     # p = 2^27 - 39 is prime and (p - 1)^2 >= 2^53: refused before any product
     one = np.ones((1, 1, 1), dtype=np.int64)
     with pytest.raises(ValueError):
         commuting_table(one, one, 2**27 - 39)
+
+
+# bound + p at the top of int8 (127), just past it, and inside int16
+@pytest.mark.parametrize("p,d,whole", [(3, 31, np.int8), (2, 125, np.int8), (2, 126, np.int16),
+                                       (5, 8, np.int16)])
+def test_pairs_commute_holds_differences_down_to_minus_the_bound(p, d, whole):
+    # A = p - 1 down column 1, B = p - 1 along row 0: AB = 0 and BA is
+    # d (p - 1)^2 at (0, 1) and 0 elsewhere, so AB - BA reaches -bound there,
+    # which _round_down takes further down, to the multiple of p at or below
+    # it; the pair commutes exactly when p divides the bound
+    bound = d * (p - 1) ** 2
+    assert _exact_dtypes(bound, p)[1] is whole
+    A = np.zeros((d, d), dtype=np.int64)
+    A[:, 1] = p - 1
+    B = np.zeros((d, d), dtype=np.int64)
+    B[0] = p - 1
+    assert (A @ B - B @ A).min() == -bound
+    rng = np.random.default_rng(p * d)
+    X = rng.integers(0, p, (5, d, d))
+    polys = (X @ X + 2 * X) % p  # each commutes with its X
+    assert oracle._pairs_commute(X, polys, p)
+    for i in range(5):
+        stack = [X.copy(), polys.copy()]
+        stack[0][i], stack[1][i] = A, B
+        assert oracle._pairs_commute(*stack, p) == (bound % p == 0)
+        assert oracle._pairs_commute(*stack[::-1], p) == (bound % p == 0)
 
 
 @pytest.mark.parametrize("n,q,step", [(3, 2, 1), (2, 8, 150)])
