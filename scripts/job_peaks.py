@@ -11,8 +11,8 @@ resident set (``ru_maxrss``) and its current resident set (from
 ``/proc/self/statm``) after the job, the ``tracemalloc`` peak inside the
 job and the ``tracemalloc`` current after it, all in MiB; and whether the
 job's outcome matched its reference digest.  Both ``/proc`` reads make the
-script Linux only.  The job at which the peak first
-reaches its final value is the one that sets the pass's ``peak_rss_mib``.
+script Linux only.  The job at which the peak first reaches its final value
+is the one that sets the pass's ``peak_rss_mib``.
 The traced peak is the largest that allocations, numpy arrays and Python
 objects alike, reached during the job above what was allocated when it
 began: the transient that the allocator may keep resident after the job.
@@ -61,8 +61,9 @@ def current_mib() -> float:
 def other_cpu_s() -> float:
     """The user and system CPU seconds that every live thread of this
     process but the main one has spent so far.  A thread's utime and stime
-    are fields 14 and 15 of its stat line, counted from the state after the
-    parenthesised name, which may itself hold spaces."""
+    are fields 14 and 15 of its stat line; field 2, the name, is in
+    parentheses and may hold spaces, so fields are counted from field 3,
+    the first after the closing parenthesis."""
     ticks = 0
     for tid in os.listdir("/proc/self/task"):
         if int(tid) == os.getpid():

@@ -41,12 +41,12 @@ sums at most d (p-1)^2.
 Every float product is such a stack of per-element products (with at most
 _TILE_COLUMNS columns each in a commuting tile), never one large 2-D
 product of concatenated elements: OpenBLAS, numpy's BLAS, runs a 2-D
-product past about 2.6e5 multiply-adds on its worker threads, which cost a
-fresh process up to a third of a second of waiting and a resident buffer,
-and each small product of a stack on the calling thread.  Each
-product is reduced mod p in the narrowest signed dtype holding its
-partial-sum bound plus p (``_exact_dtypes``): int8 for the commuting scans
-of GL_3(3), GL_2(8) and GL_4(2).
+product of more than a few hundred thousand multiply-adds on its worker
+threads, which cost a fresh process up to a third of a second of waiting
+and raised its peak resident set, and each small product of a stack on
+the calling thread.  Each product is reduced mod p in the narrowest signed
+dtype holding its partial-sum bound plus p (``_exact_dtypes``): int8 for
+the commuting scans of GL_3(3), GL_2(8) and GL_4(2).
 
 All group work runs in chunks of a stack, sized in bytes: each step passes
 ``_slices`` the bytes per item of the widest array it allocates, so that

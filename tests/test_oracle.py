@@ -893,7 +893,8 @@ def test_normalizer_in_chunks_of_one_to_three_elements(monkeypatch, n, q):
         elements.append(FqMatrix(group.field, ((1, 1, 0), (0, 1, 0), (0, 0, 1))))
     center = set(group.center_indices())
     emptied = 0
-    d = n * group.field.e
+    d, p = n * group.field.e, group.field.p
+    assert _exact_dtypes(d * (p - 1) ** 2, p)[0] is np.float32  # 4 bytes per entry of cg
     for M in elements:
         cset = centralizer(M)
         members = frozenset(group.mats[i].rows for i in cset.members)
@@ -901,8 +902,7 @@ def test_normalizer_in_chunks_of_one_to_three_elements(monkeypatch, n, q):
         emptied += any(matmul(matmul(g, c0), inverse(g)).rows not in members for g in group.mats)
         expect = normalizer_by_conjugation(group, cset)
         for per_chunk in (1, 2, 3):
-            # the products cg are float32 here, cset.order * d * n of them per g
-            assert _exact_dtypes(d * (group.field.p - 1) ** 2, group.field.p)[0] is np.float32
+            # cg holds cset.order * d * n entries per g
             monkeypatch.setattr(oracle, "_CHUNK_BYTES", per_chunk * cset.order * d * n * 4)
             assert normalizer_of_set(cset) == expect
             monkeypatch.undo()
@@ -946,7 +946,7 @@ def test_commuting_table_matches_int64_reference(p, d, real, monkeypatch):
     assert len({rows.start for rows, _ in tiles}) > 2 and len({columns.start for _, columns in tiles}) > 2
     # no product has more than _TILE_COLUMNS columns, not even a single X's
     single = [columns for _, columns, _ in oracle.commuting_tiles(X[:1], S, p)]
-    assert max(columns.stop - columns.start for _, columns in tiles + [(None, c) for c in single]) <= 16
+    assert max(columns.stop - columns.start for columns in [c for _, c in tiles] + single) <= 16
     table = commuting_table(X, S, p)
     assert (table == reference_commuting(X, S, p)).all()
     assert table[np.arange(70), 70 + np.arange(70)].all()
