@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from glcensus import asympt, census, clique, exactalg, oracle, qseries, verify
+from glcensus import asympt, census, clique, exactalg, oracle, qseries, tasks, verify
 
 
 def _emit(data) -> None:
@@ -164,7 +164,7 @@ def cmd_oracle(args) -> int:
     task = args.task
     payload: dict = {"task": task, "n": n, "q": q}
     if task == "cyclic-proportion":
-        c, bounds, ok = oracle.wall_bound_task(n, q, budget)
+        c, bounds, ok = tasks.wall_bound_task(n, q, budget)
         payload.update({
             "proportion": f"{c.numerator}/{c.denominator}",
             "estimate_minus_error": str(bounds["estimate_minus_error"]),
@@ -172,7 +172,7 @@ def cmd_oracle(args) -> int:
             "bound_holds": ok,
         })
     elif task == "centralizer-count":
-        count, value, ok = oracle.centralizer_count_task(n, q, budget)
+        count, value, ok = tasks.centralizer_count_task(n, q, budget)
         payload.update({
             "distinct_centralizers": count,
             "census_value": value,
@@ -180,7 +180,7 @@ def cmd_oracle(args) -> int:
             "as_expected": ok,
         })
     elif task == "regular-unipotent":
-        order, expect_c, norm, expect_n, ok = oracle.regular_unipotent_task(n, q, budget)
+        order, expect_c, norm, expect_n, ok = tasks.regular_unipotent_task(n, q, budget)
         payload.update({
             "centralizer_order": order,
             "centralizer_expected": expect_c,
@@ -191,7 +191,7 @@ def cmd_oracle(args) -> int:
     elif task == "remark-matrix":
         if (n, q) != (4, 2):
             raise ValueError("the witness matrix lives in GL_4(2); use --n 4 --q 2")
-        order, expect, cyclic_members, ok = oracle.remark_matrix_task(budget)
+        order, expect, cyclic_members, ok = tasks.remark_matrix_task(budget)
         payload.update({
             "centralizer_order": order,
             "expected_order": expect,
@@ -199,7 +199,7 @@ def cmd_oracle(args) -> int:
             "as_expected": ok,
         })
     elif task == "jm-check":
-        cases, failures, ok = oracle.jm_check_task(q, budget)
+        cases, failures, ok = tasks.jm_check_task(q, budget)
         payload.update({"cases": cases, "failures": [{"f": list(f), "m": m} for f, m in failures],
                         "as_expected": ok})
     else:

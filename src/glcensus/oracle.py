@@ -57,12 +57,18 @@ residue dtype, forms in ``_rref``'s working dtype, products in float32
 where exact), so a chunk still holds many items.  A commuting tile is such
 a chunk on both axes.
 
-One kernel, ``_rref``, does every elimination, over a whole stack at once:
-GL_n(q) is every entry array whose lift has rank ne; M is cyclic exactly
+GL_n(q) is enumerated without elimination, one row at a time: a matrix is
+invertible exactly when each row lies outside the F_q-span of the rows
+above it, and each span is kept as a set of row codes, grown with F_q
+addition and scalar multiplication tables on row codes read off
+``Fq.blocks`` (``_row_tables``).  One kernel, ``_rref``, does the
+eliminations that are left, over a whole stack at once: M is cyclic exactly
 when the lifts of t^j M^k (j < e, k < n), which span F_q[M] over F_p, have
 rank ne.  The reduced echelon form of that span keys M by its algebra: the
 census keys cyclic M on it, as C(M) = F_q[M]^x for them, and the
-non-commuting graph keys every non-central M, as C(M) = C(F_q[M]).  A
+non-commuting graph keys every non-central M, as C(M) = C(F_q[M]).  As
+F_q[c M + b I] = F_q[M] for c != 0, both are formed once per affine class
+{c M + b I}, on one representative each.  A
 matrix leaves the kernel's working stack, of the narrowest signed dtype
 holding (p - 1)^2 + p, which is also the dtype of the forms it returns,
 as soon as its rank reaches its row count: no later
@@ -70,8 +76,9 @@ column then has a pivot row left to change it, and a cyclic span mostly
 gets there within its first ne columns of n^2 e.  The polynomial checks run
 on lifts too: irreducibility is Rabin's test on companion matrices, and the
 block identity "J_m(f) has minimal polynomial f^m" is read off the powers of
-f(J).  The ``*_task`` functions at the end are the checks both the CLI and
-the verify suite run, and each decides its own verdict.
+f(J).  The checks that both the CLI and the verify suite run on all this,
+each deciding its own verdict, are the ``*_task`` functions of
+``glcensus.tasks``.
 
 Budgets are decided from closed forms before anything is built: the group
 order caps enumeration, and jm-check's q + q^2 + q^3 candidate polynomials
@@ -90,13 +97,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
-from glcensus.census import a_polynomial, check_prime_power, gl_order
+from glcensus.census import check_prime_power, gl_order
 
 
 class BudgetError(RuntimeError):
@@ -388,6 +394,32 @@ def _rref(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     return out, rank
 
 
+def _row_tables(field: Fq, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_q addition and scalar multiplication on row codes, the n entries of
+    a row as base-q digits and so as ne base-p digits: add[x, y] is x + y,
+    digit by digit mod p, and mul[a, x] is a x, each entry b of x becoming
+    the element with digits blocks[a] @ digits(b).  Both are in the
+    narrowest signed dtype holding q^n - 1."""
+    p, q = field.p, field.q
+    rows = np.arange(q**n, dtype=_signed_dtype(q**n - 1))
+    add = np.zeros((len(rows), len(rows)), dtype=rows.dtype)
+    for j in range(n * field.e):
+        digit = rows // p**j % p
+        add += (digit[:, None] + digit) % p * p**j
+    # entry k of a row, weighing q^k, has its digits at k e .. k e + e - 1
+    digits = field._digits[rows[:, None] // q ** np.arange(n) % q]
+    products = np.einsum("aij,xkj->axki", field.blocks, digits) % p
+    mul = products.reshape(q, len(rows), -1) @ p ** np.arange(n * field.e)
+    return add, mul.astype(rows.dtype)
+
+
+def _outside(spans: np.ndarray, size: int) -> np.ndarray:
+    """A bool mask (len(spans), size): whether row i of spans leaves out r."""
+    fresh = np.ones((len(spans), size), dtype=bool)
+    np.put_along_axis(fresh, spans, False, axis=1)
+    return fresh
+
+
 def _round_down(v: np.ndarray, p: int) -> np.ndarray:
     """The largest multiple of p at or below each entry of an integer
     array, as one new array: v // p * p."""
@@ -483,7 +515,8 @@ def key_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ordered = column[order]
         new[1:] |= ordered[1:] != ordered[:-1]
     label = np.empty(len(keys), dtype=np.intp)
-    label[order] = np.cumsum(new) - 1
+    label[order] = np.cumsum(new)
+    label -= 1
     return order[new], label
 
 
@@ -533,7 +566,26 @@ class GLGroup:
     nothing else per element but the bool flags and the keys, in the codes'
     dtype, that ``_flags`` forms.  ``mats`` is a ``MatrixView`` of the
     elements as ``FqMatrix``, made and decoded anew on every read, for
-    perfbench and the tests; no package path reads it."""
+    perfbench and the tests; no package path reads it.
+
+    Enumeration eliminates nothing.  Rows r_1, ..., r_n are independent, so
+    the matrix is invertible, exactly when each r_k lies outside the F_q-span
+    of r_1, ..., r_(k-1).  So each prefix of k rows keeps its span as the
+    q^k row codes of its combinations, only the rows outside it extend the
+    prefix, and the span of the longer prefix is the sums s + c r, c in F_q,
+    read off ``_row_tables``.  Row 0 is the most significant base-q^n digit
+    of a code, and prefixes and then rows are taken in ascending order, so
+    the codes come out sorted.
+
+    The flags and keys are formed once per affine class {c M + b I : c != 0}.
+    F_q[c M + b I] = F_q[M], as each of M and c M + b I is a polynomial of
+    degree at most 1 in the other, and the flag (F_q[M] has dimension n) and
+    the key (the echelon form of its F_p-span) read only that algebra.  The
+    class of M is named by (M - m I)/v, m its entry (0, 0) and v the first
+    nonzero entry of M - m I: c M + b I has entry (0, 0) c m + b, its
+    difference from that scalar is c (M - m I), whose first nonzero entry is
+    c v, so every member gives the same matrix, and that matrix is a member
+    (c = 1/v, b = -m/v).  GL_3(3) has 3047 classes, GL_4(2) 17 248."""
 
     def __init__(self, n: int, q: int):
         self.n = n
@@ -546,26 +598,36 @@ class GLGroup:
         self._place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
         self._weights = (self._place.reshape(n, 1, n) * p ** np.arange(e).reshape(1, e, 1)).reshape(-1)
         residue, code_dtype = _signed_dtype(p - 1), _signed_dtype(q ** (n * n) - 1)
-        elements, lifted = [], []
-        # the widest array is the int64 entries or _rref's working stack
-        for s in _slices(q ** (n * n), max(8 * n * n, d * d * _rref_dtype(p).itemsize)):
-            code = np.arange(s.start, s.stop)
-            lift = self.field.lift(self.decode(code), residue)
-            invertible = _rref(lift, p)[1] == d
-            elements.append(code[invertible].astype(code_dtype))
-            lifted.append(lift[invertible])
+        # the first k rows of the invertible matrices as codes, ascending, each
+        # with its span as row codes; a matrix's code is its rows' codes in base q^n
+        width = q**n
+        prefixes, spans = np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+        if n > 1:
+            add, mul = _row_tables(self.field, n)
+        for _ in range(n - 1):
+            i, row = np.nonzero(_outside(spans, width))
+            prefixes = prefixes[i] * width + row
+            spans = add[spans[i][:, :, None], mul[:, row].T[:, None]].reshape(len(i), -1)
+        elements = []
+        for s in _slices(len(prefixes), 8 * width):  # the int64 codes of the rows after a prefix
+            codes = prefixes[s, None] * width + np.arange(width)
+            elements.append(codes[_outside(spans[s], width)].astype(code_dtype))
         self.elements = np.concatenate(elements)
-        self.lifted = np.concatenate(lifted)
-        self.elements.flags.writeable = self.lifted.flags.writeable = False
         if len(self.elements) != self.order:
             raise AssertionError("enumeration does not match the group order")
+        self.lifted = np.empty((self.order, d, d), dtype=residue)
+        for s in _slices(self.order, max(8 * n * n, d * d)):  # the int64 entries or the lifts
+            self.lifted[s] = self.field.lift(self.decode(self.elements[s]), residue)
+        self.elements.flags.writeable = self.lifted.flags.writeable = False
         self._cyclic: np.ndarray | None = None
         self._keys: np.ndarray | None = None
         self._census: tuple[int, ...] | None = None
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
         """The F_q entries (..., n, n) of an array of codes."""
-        return (codes[..., None] // self._place % self.q).reshape(codes.shape + (self.n, self.n))
+        entries = codes[..., None] // self._place
+        entries %= self.q
+        return entries.reshape(codes.shape + (self.n, self.n))
 
     @property
     def mats(self) -> MatrixView:
@@ -596,24 +658,53 @@ class GLGroup:
         (j < e, k < n), which is F_q[M] of dimension e deg(min poly of M), has
         rank ne.  Their digits are columns j of the blocks of the lifted M^k.
         The span's echelon form is kept as ``algebra_keys``, which the census
-        and the non-commuting graph read."""
+        and the non-commuting graph read.  Both are formed once per affine
+        class, on its representative from ``_affine_class``, lifted anew, and
+        copied to every member."""
         if self._cyclic is None:
             n, e, p = self.n, self.field.e, self.field.p
             d = n * e
             real = np.dtype(_exact_dtypes(d * (p - 1) ** 2, p)[0])
-            flags = np.empty(self.order, dtype=bool)
-            keys = np.empty((self.order, d), dtype=self.elements.dtype)
+            chunks = list(_slices(self.order, 8 * n * n))  # the int64 entries
+            affine = np.zeros(self.order, dtype=self.elements.dtype)
+            if n > 1:  # GL_1(q) is all scalars, one class
+                add, mul = _row_tables(self.field, n)
+                for s in chunks:
+                    affine[s] = self._affine_class(self.elements[s], add, mul)
+            classes = np.sort(affine)
+            classes = classes[np.append(True, classes[1:] != classes[:-1])]
+            class_flags = np.empty(len(classes), dtype=bool)
+            class_keys = np.empty((len(classes), d), dtype=affine.dtype)
             # every partial sum of a row code is below q^(n^2), so einsum runs in the keys' dtype
-            weights = self._weights.astype(keys.dtype)
+            weights = self._weights.astype(class_keys.dtype)
             # the widest arrays are the two float casts and the product of a
             # power, or _rref's working stack of the span
-            for s in _slices(self.order, d * d * max(3 * real.itemsize, n * _rref_dtype(p).itemsize)):
-                rref, rank = _rref(self._algebra_span(self.lifted[s]), p)
-                flags[s] = rank == d
-                np.einsum("brj,j->br", rref, weights, out=keys[s], casting="unsafe")
+            for s in _slices(len(classes), d * d * max(3 * real.itemsize, n * _rref_dtype(p).itemsize)):
+                lifts = self.field.lift(self.decode(classes[s]), self.lifted.dtype)
+                rref, rank = _rref(self._algebra_span(lifts), p)
+                class_flags[s] = rank == d
+                np.einsum("brj,j->br", rref, weights, out=class_keys[s], casting="unsafe")
+            flags = np.empty(self.order, dtype=bool)
+            keys = np.empty((self.order, d), dtype=affine.dtype)
+            for s in chunks:
+                owner = np.searchsorted(classes, affine[s])
+                flags[s], keys[s] = class_flags[owner], class_keys[owner]
             flags.flags.writeable = keys.flags.writeable = False
             self._cyclic, self._keys = flags, keys
         return self._cyclic
+
+    def _affine_class(self, codes: np.ndarray, add: np.ndarray, mul: np.ndarray) -> np.ndarray:
+        """The code of (M - m I)/v for each code of an M, in the codes' dtype:
+        m is M's entry (0, 0) and v the first nonzero entry of M - m I in
+        row-major order, and a scalar M gives 0.  It is the same for every
+        c M + b I, c != 0.  The entries are worked on with the tables of
+        ``_row_tables``, whose first q columns are those of F_q: -m is
+        (-1) m, -1 having code p - 1, and 1/v is the c with c v = 1."""
+        entries = self.decode(codes).reshape(len(codes), -1)
+        entries[:, :: self.n + 1] = add[entries[:, :: self.n + 1], mul[self.field.p - 1, entries[:, :1]]]
+        v = entries[np.arange(len(codes)), (entries != 0).argmax(axis=1)]
+        inverse = (mul[:, : self.q] == 1).argmax(axis=0)
+        return (mul[inverse[v][:, None], entries] @ self._place).astype(codes.dtype)
 
     def _algebra_span(self, lifts: np.ndarray) -> np.ndarray:
         """The F_p-spanning rows of F_q[M] for a stack of lifted M, in the
@@ -778,98 +869,3 @@ def normalizer_of_set(cset: CentralizerSet, budget: Budget | None = None) -> int
         same = np.sort(group.codes(gc), axis=1) == np.sort(cg[keep], axis=1)
         count += int(same.all(axis=1).sum())
     return count
-
-
-# ---------------------------------------------------------------------------
-# the oracle tasks, each run by both the CLI and the verify suite
-
-
-def wall_bound_task(n: int, q: int, budget: Budget | None = None):
-    """(the exact fraction of cyclic elements of GL_n(q), its two lower
-    bounds by name, whether it meets the first and exceeds the second)."""
-    group = gl_group(n, q, budget)
-    c = Fraction(int(group._flags().sum()), group.order)
-    qf = Fraction(q)
-    bounds = {
-        "estimate_minus_error": (1 - qf**-5) / (1 + qf**-3) - Fraction(1, q**n * (q - 1)),
-        "expanded_lower": 1 - qf**-3 - qf**-5 + qf**-6 - qf**-n,
-    }
-    return c, bounds, c >= bounds["estimate_minus_error"] and c > bounds["expanded_lower"]
-
-
-def centralizer_count_task(n: int, q: int, budget: Budget | None = None) -> tuple[int, int, bool]:
-    """(distinct cyclic centralizers, a_n(q), whether the count equals a_n(q)
-    for q > n and is strictly below it otherwise)."""
-    count, _ = count_cyclic_centralizers(n, q, budget)
-    value = a_polynomial(n).eval(q)
-    return count, value, count == value if q > n else count < value
-
-
-def regular_unipotent_task(n: int, q: int,
-                           budget: Budget | None = None) -> tuple[int, int, int, int, bool]:
-    """(centralizer order, expected, normalizer order, expected, whether both
-    are as expected) for the regular unipotent of GL_n(q); for n = 1 the
-    normalizer is all of GL_1(q)."""
-    cset = centralizer(regular_unipotent(get_field(q), n), budget)
-    expect = q**n - q ** (n - 1)
-    norm = normalizer_of_set(cset, budget)
-    expect_norm = (q - 1) ** 2 * q ** (2 * n - 3) if n > 1 else q - 1
-    return cset.order, expect, norm, expect_norm, cset.order == expect and norm == expect_norm
-
-
-def _block_identity_fails(field: Fq, polys: list[tuple[int, ...]], m: int) -> np.ndarray:
-    """Whether the minimal polynomial of J_m(f) is not f^m, for each
-    irreducible f of one degree d in ``polys``: one bool per f.
-
-    With g = f(J): if g^m = 0 then the minimal polynomial of J divides f^m,
-    so it is f^k for some k <= m, as f is irreducible; g^(m-1) != 0 then
-    rules out every k < m.  Conversely, minimal polynomial f^m gives g^m = 0
-    and, f^(m-1) being no multiple of it, g^(m-1) != 0.  So the identity
-    holds exactly when g^m = 0 and g^(m-1) != 0.  g is formed in the lift as
-    sum_i lift(f_i I) lift(J)^i, by Horner's rule."""
-    d, p = len(polys[0]) - 1, field.p
-    size = d * m * field.e
-    fails = []
-    for s in _slices(len(polys), 8 * (d + 1) * size * size):  # the int64 scalars f_i I
-        entries = np.array([jm_block(field, f, m).rows for f in polys[s]], dtype=np.int64)
-        J = field.lift(entries)
-        # the scalars f_i I, as entry arrays (B, d + 1, n, n)
-        eye = np.eye(entries.shape[-1], dtype=np.int64)
-        scalars = np.array(polys[s], dtype=np.int64)[:, :, None, None] * eye
-        g = power = field.lift(scalars[:, d])  # f_d I = I = g^0, f being monic
-        for i in range(d - 1, -1, -1):
-            g = (g @ J + field.lift(scalars[:, i])) % p
-        for _ in range(m - 1):
-            power = power @ g % p
-        fails.append(~power.any(axis=(1, 2)) | (power @ g % p).any(axis=(1, 2)))
-    return np.concatenate(fails)
-
-
-def jm_check_task(q: int, budget: Budget | None = None
-                  ) -> tuple[int, list[tuple[tuple[int, ...], int]], bool]:
-    """(cases, failing (f, m), whether none fails) of "J_m(f) has minimal
-    polynomial f^m" over F_q, for every monic irreducible f of degree at
-    most 3 and m <= 3, in order of degree, f and m.  The q + q^2 + q^3
-    candidate f are charged to the element budget before F_q is built."""
-    budget = budget if budget is not None else DEFAULT_BUDGET
-    candidates = q + q**2 + q**3
-    if candidates > budget.elements:
-        raise BudgetError(f"jm-check over F_{q} exceeds the enumeration budget", candidates, budget.elements)
-    F = get_field(q)
-    cases, failures = 0, []
-    for d in (1, 2, 3):
-        polys = monic_irreducibles(F, d)
-        fails = np.stack([_block_identity_fails(F, polys, m) for m in (1, 2, 3)], axis=1)
-        cases += fails.size
-        failures += [(f, m) for f, row in zip(polys, fails.tolist())
-                     for m, fail in zip((1, 2, 3), row) if fail]
-    return cases, failures, not failures
-
-
-def remark_matrix_task(budget: Budget | None = None) -> tuple[int, int, int, bool]:
-    """(centralizer order, expected order 16, cyclic members, whether the
-    order is 16 and no member is cyclic) for the GL_4(2) witness."""
-    expect = 16
-    cset = centralizer(noncyclic_centralizer_witness(), budget)
-    cyclic_members = int(gl_group(4, 2, budget)._flags()[list(cset.members)].sum())
-    return cset.order, expect, cyclic_members, cset.order == expect and cyclic_members == 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from glcensus import asympt, census, clique, exactalg, oracle, qseries
+from glcensus import asympt, census, clique, exactalg, oracle, qseries, tasks
 
 PASS = "pass"
 FAIL = "fail"
@@ -245,7 +245,7 @@ WALL_INSTANCES = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 def check_wall_bound(budget=None) -> tuple[str, str]:
     bad = []
     for n, q in WALL_INSTANCES:
-        c, _, holds = oracle.wall_bound_task(n, q, budget)
+        c, _, holds = tasks.wall_bound_task(n, q, budget)
         if not holds:
             bad.append(f"(n,q)=({n},{q}): proportion {c} violates the bound")
     status, detail = _fail_list(bad)
@@ -255,7 +255,7 @@ def check_wall_bound(budget=None) -> tuple[str, str]:
 def check_centralizer_count(budget=None) -> tuple[str, str]:
     bad = []
     for n, q in [(2, 3), (2, 4), (2, 5), (2, 2), (3, 2), (3, 3)]:
-        count, value, as_expected = oracle.centralizer_count_task(n, q, budget)
+        count, value, as_expected = tasks.centralizer_count_task(n, q, budget)
         if not as_expected:
             bad.append(f"({n},{q}): {count} != {value}" if q > n
                        else f"({n},{q}): {count} not strictly below {value}")
@@ -277,15 +277,15 @@ def check_q_equals_n(budget=None) -> tuple[str, str]:
 def check_structural(budget=None) -> tuple[str, str]:
     bad = []
     for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        order, expect_c, norm, expect_n, holds = oracle.regular_unipotent_task(n, q, budget)
+        order, expect_c, norm, expect_n, holds = tasks.regular_unipotent_task(n, q, budget)
         if not holds:
             bad += [f"regular unipotent ({n},{q}): {name} order {value}"
                     for name, value, expect in (("centralizer", order, expect_c),
                                                 ("normalizer", norm, expect_n)) if value != expect]
     for q in (2, 3):
-        for f, m in oracle.jm_check_task(q, budget)[1]:
+        for f, m in tasks.jm_check_task(q, budget)[1]:
             bad.append(f"block ({len(f) - 1},{m}) over F_{q}: minimal polynomial mismatch")
-    order, _, cyclic_members, holds = oracle.remark_matrix_task(budget)
+    order, _, cyclic_members, holds = tasks.remark_matrix_task(budget)
     if not holds:
         bad.append(f"witness matrix: order {order}, cyclic members {cyclic_members}")
     status, detail = _fail_list(bad)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import tracemalloc
@@ -20,21 +21,18 @@ from glcensus.oracle import (
     _gl_group_cached,
     _rref,
     centralizer,
-    centralizer_count_task,
     commuting_table,
     count_cyclic_centralizers,
     get_field,
     gl_group,
     jm_block,
-    jm_check_task,
     key_classes,
     monic_irreducibles,
     noncyclic_centralizer_witness,
     normalizer_of_set,
     regular_unipotent,
-    regular_unipotent_task,
-    wall_bound_task,
 )
+from glcensus.tasks import centralizer_count_task, jm_check_task, regular_unipotent_task, wall_bound_task
 
 
 # --- the tests' own F_q arithmetic ---------------------------------------------
@@ -1091,6 +1089,78 @@ def test_keys_from_narrow_forms_match_plain_python_forms(monkeypatch, n, q):
     for i in sample:
         assert group.algebra_keys()[i].tolist() == reference_algebra_key(group.lifted[i].tolist(), n, e, p)
 
+# SHA-256 of the dtype, shape and bytes of ``elements``, ``lifted``,
+# ``_flags()`` and ``algebra_keys()``, in that order, as the build that
+# eliminated every candidate lift and every element's span made them.
+GROUP_DIGESTS = {
+    (1, 2): "7a0f8a01e591bd5cda8be475467a2fa25ec1b6ef519ed68a981521b7f62f4c04",
+    (1, 4): "2cddebca757d4ac8685f123054c4e1e188e10dc9fd5c2aa76a3534a5a60b5897",
+    (2, 2): "09709b78876ba02dd0281b54d4ffee3af7aa24dc1e71dcc1eb292d83f294945f",
+    (2, 3): "b1d484428fb99ad62039dafc9846ff4f0e75674c8aceb82e7c74adbb842bcaac",
+    (2, 4): "fa7792da235c301a59e5f2b0a4f411507fb13c3f26e592f952f494357f0bb076",
+    (2, 5): "ff1c9088ffedab505f9bb54d387963f476e6874bd6bd6558c9c6d7fe139809c8",
+    (2, 7): "f71d593bb7c8a4dc37401a67d97e8dac7e34408053c7156653d182f6447b5d45",
+    (2, 8): "613476a888b894d4127efe4c9484bf1fb398bf3620cab254c7ae65458c3cf969",
+    (2, 9): "e0ef085ab6a8b44dc7cff144cdcc2c490211a0a1c589aff282b528a762d1e129",
+    (2, 13): "f18608432bb34d1ed1df21f8dc7e5915f3b2e39d6d0c20229c55dd5e30fae0c9",
+    (2, 16): "2da1d02b5bf87e087962746ea665cabecb6216105b0f528710379eb317a7708c",
+    (3, 2): "775ab97b22a3c46e45d99566b66f0cb2422a489347c98f1798fe2e57b7f42b63",
+    (3, 3): "40b6519b4c2e0d611a505fef4910f619d943da28aa998309514d3abad0187a6c",
+    (3, 4): "6f8f0d769801d955ec9dd9e471f48843700ab867c58b6daa66b92b0a310708f0",
+    (4, 2): "e85451a86b3640e5ede333356cbebad7ec8243121216790e4b4ec9687b1c62c1",
+}
+
+
+def group_digest(group) -> str:
+    h = hashlib.sha256()
+    for array in (group.elements, group.lifted, group._flags(), group.algebra_keys()):
+        h.update(f"{array.dtype.str}{array.shape}".encode())
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,q", sorted(GROUP_DIGESTS))
+def test_group_arrays_equal_the_elimination_built_digests(n, q):
+    """The row-span enumeration and the flags and keys formed once per
+    affine class give every array byte for byte, dtypes included."""
+    assert group_digest(gl_group(n, q)) == GROUP_DIGESTS[n, q]
+
+
+@pytest.mark.parametrize("n,q,classes",
+                         [(3, 3, 3047), (2, 8, 74), (2, 7, 58), (4, 2, 17_248), (3, 4, 21_846)])
+def test_enumeration_eliminates_nothing_and_flags_one_span_per_affine_class(monkeypatch, n, q, classes):
+    """Building the group makes no ``_rref`` call, and the flags eliminate
+    one span per affine class {c M + b I}: the spy counts the matrices of
+    every stack that ``_rref`` is given."""
+    get_field(q)  # a field's first build runs Rabin's test, which eliminates
+    eliminated = []
+    monkeypatch.setattr(oracle, "_rref", lambda stack, p: eliminated.append(len(stack)) or _rref(stack, p))
+    group = oracle.GLGroup(n, q)
+    assert eliminated == []
+    group.cyclic_flags()
+    assert sum(eliminated) == classes
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 8), (2, 9)])
+def test_flag_key_and_class_are_constant_on_affine_classes(n, q):
+    """For sampled M, the identity among them, and every c != 0 and every b,
+    c M + b I, singular or not, has M's flag by the ``min_poly`` reference,
+    M's key by the plain-Python reference, and M's affine-class code."""
+    group = gl_group(n, q)
+    F, R = group.field, ref_field(q)
+    add, mul = oracle._row_tables(F, n)
+    for i in [group.center_indices()[0], *range(0, group.order, group.order // 12)]:
+        M = group.mats[i]
+        flag, key = group._flags()[i], group.algebra_keys()[i].tolist()
+        members = [FqMatrix(F, tuple(tuple(R.add(R.mul(c, x), b if r == k else 0) for k, x in enumerate(row))
+                                     for r, row in enumerate(M.rows)))
+                   for c in range(1, q) for b in range(q)]
+        for N in members:
+            assert is_cyclic(N) == flag
+            assert reference_algebra_key(F.lift([N.rows])[0].tolist(), n, F.e, F.p) == key
+        codes = np.array([encode(N) for N in members], dtype=group.elements.dtype)
+        assert len(set(group._affine_class(codes, add, mul).tolist())) == 1
+
 
 def held_bytes(group) -> int:
     """The bytes of the arrays a group keeps per element: codes, lifts,
@@ -1100,8 +1170,8 @@ def held_bytes(group) -> int:
 
 def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
     """Traced peaks on GL_3(3), each below four chunk caps plus the bytes
-    the step returns or keeps: building the group and its flags, the census
-    and its cross-check, and the commuting table of the census
+    the step returns or keeps: building the group and its flags, also on
+    GL_2(16) and GL_4(2), the census and its cross-check, and the commuting table of the census
     representatives (the seed), both as one stack and as two.  What the
     group keeps is exact: int16 codes, 9 int8 residues, 3 int16 key row
     codes and one bool per element of GL_3(3), and int32 codes and keys
@@ -1115,8 +1185,8 @@ def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
         finally:
             tracemalloc.stop()
 
-    def build():
-        group = oracle.GLGroup(3, 3)
+    def build(n=3, q=3):
+        group = oracle.GLGroup(n, q)
         group.cyclic_flags()
         return group
 
@@ -1125,6 +1195,9 @@ def test_group_work_peaks_within_four_caps_plus_what_it_keeps():
     assert kept == 11_232 * (2 + 9 + 6 + 1) == 202_176
     assert held_bytes(gl_group(4, 2)) == 20_160 * (4 + 16 + 16 + 1) == 745_920
     assert peak < 4 * cap + kept
+    for n, q in ((2, 16), (4, 2)):
+        other, peak = traced(lambda: build(n, q))
+        assert peak < 4 * cap + held_bytes(other)
     reps, peak = traced(group.cyclic_centralizer_census)
     assert len(reps) == 1067
     assert peak < 4 * cap + sys.getsizeof(reps) + sum(map(sys.getsizeof, reps))

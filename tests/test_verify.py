@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from glcensus import asympt, cli, oracle, verify
+from glcensus import asympt, cli, oracle, tasks, verify
 
 # (id, level, full-level detail); every full-level status is "pass"
 CHECKS = [
@@ -119,8 +119,8 @@ def test_the_tasks_verdicts_reach_the_cli_and_the_structural_check(monkeypatch, 
     monkeypatch.setattr(oracle, "noncyclic_centralizer_witness",
                         lambda: oracle.FqMatrix(oracle.get_field(2), tuple(
                             tuple(int(i == j) for j in range(4)) for i in range(4))))
-    assert oracle.regular_unipotent_task(2, 2) == (2, 2, 0, 2, False)
-    assert oracle.remark_matrix_task() == (20160, 16, 17352, False)  # every cyclic element
+    assert tasks.regular_unipotent_task(2, 2) == (2, 2, 0, 2, False)
+    assert tasks.remark_matrix_task() == (20160, 16, 17352, False)  # every cyclic element
     for task in ("regular-unipotent", "remark-matrix"):
         assert cli.main(["oracle", "--n", "4" if task == "remark-matrix" else "2", "--q", "2",
                          "--task", task]) == 1
